@@ -67,8 +67,6 @@ from .inequalities import (
 )
 from .oracle import (
     MAX_ORACLE_SETTINGS,
-    DeterministicStrategy,
-    enumerate_strategies,
     max_visibility_for_gram,
     max_visibility_lp,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "ChshThresholdResult",
     "ConstructionFailureError",
     "DEFAULT_RHO_MIN",
-    "DeterministicStrategy",
     "Direction",
     "DiscreteLhvModel",
     "GramSvd",
@@ -119,7 +116,6 @@ __all__ = [
     "chsh_angle_lhs",
     "chsh_lhs",
     "chsh_threshold_numeric",
-    "enumerate_strategies",
     "extrapolate",
     "fit_power_law",
     "floor_normalized_weights",

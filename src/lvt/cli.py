@@ -7,8 +7,8 @@ settings), `bell` / `chsh` (numeric inequality thresholds), and
 `construct` (one-shot frame assembly plus validation).
 
 Machine-readable outputs are byte-identical across repeated runs with
-the same seed and thread count; wall_time_s is therefore emitted as a
-0.0 placeholder in CSV/JSON while the real timing goes to stderr.
+the same seed; wall_time_s is therefore emitted as a 0.0 placeholder in
+CSV/JSON while the real timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _SEED_MASK = (1 << 64) - 1
 _TAG_CLI_SETTINGS = 6
 _TAG_CLI_WEIGHTS = 7
 
-# Wall-time projection constants, measured on a 2-core machine; runs
+# Wall-time projection constants, measured on a 2-core machine; sweeps
 # projected past the gate refuse to start without --long.
 LONG_RUN_GATE_SECONDS = 60.0
 # A climb step advances every restart at once: a fixed cost per step
@@ -74,7 +74,6 @@ _CLIMB_SECONDS_PER_ENTRY = 4e-8
 _FINISH_LPS_PER_CALL = 30
 _FINISH_SECONDS_PER_LP = 4e-3
 _FINISH_SECONDS_PER_ENTRY = 6e-6
-_ORACLE_SECONDS_PER_CELL = 5e-10
 
 
 @dataclass(frozen=True)
@@ -201,21 +200,6 @@ def projected_search_seconds(n_values, config: SearchConfig) -> float:
     return total
 
 
-def projected_oracle_seconds(n: int) -> float:
-    rows = n * n + 2
-    columns = 2 ** (2 * n - 1) + 2
-    pivots = 10 * rows
-    return pivots * rows * columns * _ORACLE_SECONDS_PER_CELL
-
-
-def _gate_long_run(projected: float, allow_long: bool, what: str) -> None:
-    if projected > LONG_RUN_GATE_SECONDS and not allow_long:
-        raise ResourceLimitError(
-            f"{what} is projected to take {projected:.0f} s (> {LONG_RUN_GATE_SECONDS:.0f} s); "
-            f"pass --long to run it anyway"
-        )
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         seed = args.seed
@@ -230,13 +214,6 @@ def _resolve_seed(args) -> int:
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return seed
-
-
-def _resolve_threads(args) -> int:
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
-        raise InvalidInputError(f"--threads must be >= 1, got {threads}")
-    return threads
 
 
 def _settings_rng(seed: int) -> np.random.Generator:
@@ -270,7 +247,7 @@ def _cmd_analytic(args, seed: int):
     return RunRecord("analytic", config, (estimate,), 0.0, __version__, seed, details), lines, EXIT_OK
 
 
-def _cmd_search(args, seed: int, threads: int):
+def _cmd_search(args, seed: int):
     n_values = parse_n_list(args.n)
     config = SearchConfig(
         n_settings=n_values[0],
@@ -285,7 +262,12 @@ def _cmd_search(args, seed: int, threads: int):
     )
     if args.extrapolate and len(set(n_values)) < 3:
         raise InvalidInputError("--extrapolate needs at least 3 distinct settings counts")
-    _gate_long_run(projected_search_seconds(n_values, config), args.long, "this sweep")
+    projected = projected_search_seconds(n_values, config)
+    if projected > LONG_RUN_GATE_SECONDS and not args.long:
+        raise ResourceLimitError(
+            f"this sweep is projected to take {projected:.0f} s "
+            f"(> {LONG_RUN_GATE_SECONDS:.0f} s); pass --long to run it anyway"
+        )
 
     def progress(est: VisibilityEstimate) -> None:
         print(
@@ -294,11 +276,11 @@ def _cmd_search(args, seed: int, threads: int):
             file=sys.stderr,
         )
 
-    results = n_sweep(n_values, config, threads=threads, on_result=progress)
+    results = n_sweep(n_values, config, on_result=progress)
     succeeded = {e.n_settings for e in results}
     failed = sorted(set(n_values) - succeeded)
     estimates = list(results)
-    details = {"n_values": n_values, "failed_n": failed, "threads": threads}
+    details = {"n_values": n_values, "failed_n": failed}
     exit_code = EXIT_PARTIAL if failed else EXIT_OK
     if args.extrapolate:
         try:
@@ -322,7 +304,7 @@ def _cmd_search(args, seed: int, threads: int):
         "n": n_values, "m": config.m_states, "inner_iters": config.inner_iters,
         "outer_iters": config.outer_iters, "restarts": config.restarts,
         "step": config.step_scale, "patience": config.patience,
-        "rho_min": config.rho_min, "seed": seed, "threads": threads,
+        "rho_min": config.rho_min, "seed": seed,
         "extrapolate": bool(args.extrapolate),
     }
     record = RunRecord("search", config_dict, tuple(estimates), 0.0, __version__, seed, details)
@@ -340,10 +322,6 @@ def _cmd_oracle(args, seed: int):
             raise InvalidInputError(f"--random must be >= 1, got {args.random}")
         settings = SettingsEnsemble.random(args.random, _settings_rng(seed))
         source = "random"
-    _gate_long_run(
-        projected_oracle_seconds(settings.n_settings), args.long,
-        f"the LP at {settings.n_settings} settings",
-    )
     estimate = max_visibility_lp(settings)
     details = {
         "settings_source": source,
@@ -462,10 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (default: LVT_SEED env var, else 0)")
     common.add_argument("--json", action="store_true", help="print a JSON run record")
     common.add_argument("--out", default=None, help="write estimates to this CSV file")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker cap for parallel sections (default: cores)")
     common.add_argument("--long", action="store_true",
-                        help="allow runs projected to exceed 60 s")
+                        help="allow search sweeps projected to exceed 60 s")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -514,8 +490,7 @@ def main(argv=None) -> int:
         if args.command == "analytic":
             record, lines, code = _cmd_analytic(args, seed)
         elif args.command == "search":
-            threads = _resolve_threads(args)
-            record, lines, code = _cmd_search(args, seed, threads)
+            record, lines, code = _cmd_search(args, seed)
         elif args.command == "oracle":
             record, lines, code = _cmd_oracle(args, seed)
         elif args.command == "bell":

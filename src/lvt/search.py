@@ -224,6 +224,11 @@ def state_to_model(
     srho = np.sqrt(rho)
     q = project_out(x[: 3 * m].reshape(3, m), srho)
     t = biorthogonalize(q, project_out(x[3 * m : 6 * m].reshape(3, m), srho))
+    # At M = 4 the t half of a climb state leaves the objective unchanged
+    # (t is fixed by q), so it drifts until biorthogonalize amplifies
+    # round-off along sqrt(rho); project it off again to keep the
+    # marginals at zero.
+    t = project_out(t, srho)
     svd = gram_svd(settings)
     sqrt_p = np.sqrt(svd.p)
     a_raw = ((svd.u * sqrt_p) @ q) / srho
@@ -338,7 +343,6 @@ def _climb(
 def inner_maximize(
     settings: SettingsEnsemble,
     config: SearchConfig,
-    threads: int = 1,
     on_accept: Optional[Callable[[np.ndarray, float], None]] = None,
 ) -> tuple[DiscreteLhvModel, VisibilityEstimate]:
     """Largest certified V over M-state local models at fixed settings.
@@ -351,11 +355,10 @@ def inner_maximize(
     m_states states, and its visibility is the estimate's value, which
     is never below the climb's.
 
-    Restarts draw from independent streams and advance in lockstep in
-    this process; threads is accepted for interface stability and
-    changes nothing.  on_accept sees every climb state that improves
-    its restart's best, which state_to_model rebuilds; the finish does
-    not report through it.
+    Restarts draw from independent streams and advance in lockstep.
+    on_accept sees every climb state that improves its restart's best,
+    which state_to_model rebuilds; the finish does not report through
+    it.
     """
     if settings.n_settings != config.n_settings:
         raise InvalidInputError(
@@ -394,7 +397,6 @@ def perturb_settings(
 
 def outer_minimize(
     config: SearchConfig,
-    threads: int = 1,
     on_progress: Optional[Callable[[int, VisibilityEstimate], None]] = None,
 ) -> VisibilityEstimate:
     """Minimize the inner maximum over measurement settings.
@@ -416,7 +418,7 @@ def outer_minimize(
         else:
             settings = perturb_settings(worst_settings, rng)
         inner_config = replace(config, seed=_derive_seed(base + [_TAG_INNER_SEED, k]))
-        _, est = inner_maximize(settings, inner_config, threads=threads)
+        _, est = inner_maximize(settings, inner_config)
         total_evals += est.iterations_used
         inner_maxima.append(est.value)
         if est.value < worst_value:
@@ -445,7 +447,6 @@ def outer_minimize(
 def n_sweep(
     n_values: Sequence[int],
     config: SearchConfig,
-    threads: int = 1,
     on_result: Optional[Callable[[VisibilityEstimate], None]] = None,
 ) -> list[VisibilityEstimate]:
     """One outer minimization per settings count, shared base seed.
@@ -463,7 +464,7 @@ def n_sweep(
     results = []
     for n in cleaned:
         try:
-            est = outer_minimize(replace(config, n_settings=n), threads=threads)
+            est = outer_minimize(replace(config, n_settings=n))
         except LvtError as exc:
             logger.warning("sweep failed at %d settings per side: %s", n, exc)
             continue

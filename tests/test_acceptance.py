@@ -317,7 +317,7 @@ def test_criterion_11_determinism(capsys, tmp_path):
     started = time.perf_counter()
     identical = True
     argv_sets = [
-        ["search", "--n", "2,3", "--seed", "9", "--json", "--threads", "1",
+        ["search", "--n", "2,3", "--seed", "9", "--json",
          "--inner-iters", "400", "--outer-iters", "2", "--restarts", "2"],
         ["oracle", "--random", "3", "--seed", "4", "--json"],
         ["analytic", "--json", "--seed", "1"],

@@ -2,28 +2,57 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from lvt import (
     Direction,
     ResourceLimitError,
     SettingsEnsemble,
-    enumerate_strategies,
     max_visibility_for_gram,
     max_visibility_lp,
 )
 
 
-def test_strategy_counts():
-    assert len(enumerate_strategies(1)) == 2
-    assert len(enumerate_strategies(2)) == 8
-    assert len(enumerate_strategies(3)) == 32
+def _sign_rows(n_bits):
+    idx = np.arange(1 << n_bits)[:, None]
+    return 1.0 - 2.0 * ((idx >> np.arange(n_bits)) & 1)
 
 
-def test_strategies_distinct_and_gauge_fixed():
-    strategies = enumerate_strategies(3)
-    seen = {(s.a_signs, s.b_signs) for s in strategies}
-    assert len(seen) == len(strategies)
-    assert all(s.a_signs[0] == 1 for s in strategies)
+def _full_lp_value(gram):
+    """max V with V g a mixture of all 2^(2N) strategies a b^T, one LP."""
+    n = gram.shape[0]
+    rows = _sign_rows(n)
+    columns = np.einsum("sj,tk->stjk", rows, rows).reshape(-1, n * n)
+    count = columns.shape[0]
+    a_eq = np.zeros((n * n + 1, count + 1))
+    a_eq[: n * n, :count] = columns.T
+    a_eq[: n * n, count] = -gram.ravel()
+    a_eq[n * n, :count] = 1.0
+    b_eq = np.zeros(n * n + 1)
+    b_eq[-1] = 1.0
+    cost = np.zeros(count + 1)
+    cost[-1] = -1.0
+    bounds = [(0.0, None)] * count + [(0.0, 1.0)]
+    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert result.status == 0
+    return float(result.x[-1])
+
+
+def _chsh_closed_form(gram):
+    total = gram.sum()
+    largest = max(abs(total - 2.0 * gram[j, k]) for j in range(2) for k in range(2))
+    return min(1.0, 2.0 / largest) if largest > 0.0 else 1.0
+
+
+def test_matches_full_column_lp():
+    rng = np.random.default_rng(59)
+    for n in range(1, 7):
+        for _ in range(3):
+            settings = SettingsEnsemble.random(n, rng)
+            value = max_visibility_lp(settings).value
+            assert abs(value - _full_lp_value(settings.gram)) < 1e-9
+            if n == 2:
+                assert abs(value - _chsh_closed_form(settings.gram)) < 1e-9
 
 
 def test_single_pair_always_fully_visible():
@@ -62,15 +91,6 @@ def test_scaled_gram_rescales_optimum():
     assert abs(scaled - 0.7856742013183862) < 1e-9
 
 
-def test_gauge_fixing_does_not_change_optimum():
-    rng = np.random.default_rng(61)
-    for _ in range(3):
-        settings = SettingsEnsemble.random(2, rng)
-        fixed, _ = max_visibility_for_gram(settings.gram, fix_first_sign=True)
-        free, _ = max_visibility_for_gram(settings.gram, fix_first_sign=False)
-        assert abs(fixed - free) < 1e-9
-
-
 def test_estimate_metadata():
     rng = np.random.default_rng(67)
     settings = SettingsEnsemble.random(3, rng)
@@ -88,18 +108,16 @@ def test_too_many_settings_rejected():
 
 
 def test_optimum_dominates_any_mixture_of_sign_strategies():
+    # A mixture c of strategies reproduces V g for g = c / max|c| at
+    # V = max|c|, so the LP optimum at that g can be no lower.
     rng = np.random.default_rng(73)
-    settings = SettingsEnsemble.random(2, rng)
-    value, _ = max_visibility_for_gram(settings.gram)
-    strategies = enumerate_strategies(2)
-    weights = rng.uniform(0.0, 1.0, len(strategies))
-    weights /= weights.sum()
-    mixture = sum(w * s.correlation() for w, s in zip(weights, strategies))
-    # the mixture reproduces gram at some visibility only if it is
-    # proportional; the LP value is an upper bound for any such scale
-    gram = settings.gram
-    mask = np.abs(gram) > 1e-12
-    if np.any(mask):
-        ratios = mixture[mask] / gram[mask]
-        if np.all(np.abs(ratios - ratios.flat[0]) < 1e-12) and ratios.flat[0] > 0:
-            assert ratios.flat[0] <= value + 1e-9
+    rows = _sign_rows(3)
+    for _ in range(5):
+        a = rows[rng.integers(0, rows.shape[0], 6)]
+        b = rows[rng.integers(0, rows.shape[0], 6)]
+        weights = rng.uniform(0.0, 1.0, 6)
+        weights /= weights.sum()
+        mixture = (a * weights[:, None]).T @ b
+        scale = float(np.max(np.abs(mixture)))
+        value, _ = max_visibility_for_gram(mixture / scale)
+        assert value >= scale - 1e-9
