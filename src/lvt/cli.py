@@ -60,20 +60,28 @@ _SEED_MASK = (1 << 64) - 1
 _TAG_CLI_SETTINGS = 6
 _TAG_CLI_WEIGHTS = 7
 
-# Wall-time projection constants, measured on a 2-core machine; sweeps
-# projected past the gate refuse to start without --long.
+# Wall-time projection constants, fitted to traced sweeps on a 2-core
+# machine; sweeps projected past the gate refuse to start without --long.
 LONG_RUN_GATE_SECONDS = 60.0
 # A climb step advances every restart at once: a fixed cost per step
 # plus a term per restart in the table size N * M.
-_CLIMB_SECONDS_PER_STEP = 1.25e-4
-_CLIMB_SECONDS_PER_ENTRY = 4e-8
-# The see-saw finish after each inner climb solves 24-30 LPs per call
-# for N = 3-1000 and M = 4-34 (at most 4 per round); each costs a fixed
-# HiGHS overhead plus a term in N * M * min(N, M), the size of the
-# table LP's constraint matrix.
-_FINISH_LPS_PER_CALL = 30
-_FINISH_SECONDS_PER_LP = 4e-3
-_FINISH_SECONDS_PER_ENTRY = 6e-6
+_CLIMB_SECONDS_PER_STEP = 1.1e-4
+_CLIMB_SECONDS_PER_ENTRY = 2e-8
+# Each inner call factors the N x N Gram once.
+_GRAM_SVD_SECONDS_PER_CUBE = 3.7e-10
+# The see-saw finish after each inner climb runs about 10 rounds of two
+# table steps and one weight step (8 at M = 4, up to 60 at M = 34).
+# Every step projects the N x N Gram onto the fixed side's span, a term
+# in N^2 * M.  A square table step (M = 4, N >= 3) is then one linear
+# solve; the other table steps and every weight step are HiGHS LPs, a
+# fixed overhead plus a term in the size of the constraint matrix:
+# N * M * min(N, M) for a table step, (min(N, 3M) + 1)^2 * (3M + 1) for
+# a weight step over the current and 2M fresh states.
+_FINISH_ROUNDS = 10
+_PROJECTION_SECONDS_PER_ENTRY = 1.5e-9
+_LP_SECONDS = 3e-3
+_TABLE_LP_SECONDS_PER_ENTRY = 2e-6
+_WEIGHT_LP_SECONDS_PER_ENTRY = 1.4e-6
 
 
 @dataclass(frozen=True)
@@ -189,14 +197,23 @@ def parse_scan(text: str) -> list:
 
 
 def projected_search_seconds(n_values, config: SearchConfig) -> float:
-    """Projected wall time of a sweep: the climbs plus one finish per inner call."""
+    """Projected wall time of a sweep: per inner call, the Gram SVD, the climb and the finish."""
     total = 0.0
     m = config.m_states
-    steps = config.outer_iters * (config.inner_iters + 1)
+    pool = 3 * m
     for n in n_values:
-        per_step = _CLIMB_SECONDS_PER_STEP + config.restarts * _CLIMB_SECONDS_PER_ENTRY * n * m
-        per_lp = _FINISH_SECONDS_PER_LP + _FINISH_SECONDS_PER_ENTRY * n * m * min(n, m)
-        total += steps * per_step + config.outer_iters * _FINISH_LPS_PER_CALL * per_lp
+        climb = (config.inner_iters + 1) * (
+            _CLIMB_SECONDS_PER_STEP + config.restarts * _CLIMB_SECONDS_PER_ENTRY * n * m
+        )
+        projection = _PROJECTION_SECONDS_PER_ENTRY * n * n * m
+        table = projection
+        if not (m == 4 and n >= 3):
+            table += _LP_SECONDS + _TABLE_LP_SECONDS_PER_ENTRY * n * m * min(n, m)
+        weight = projection + _LP_SECONDS + (
+            _WEIGHT_LP_SECONDS_PER_ENTRY * (min(n, pool) + 1) ** 2 * (pool + 1)
+        )
+        finish = _FINISH_ROUNDS * (2 * table + weight)
+        total += config.outer_iters * (_GRAM_SVD_SECONDS_PER_CUBE * n**3 + climb + finish)
     return total
 
 

@@ -102,6 +102,21 @@ class SettingsEnsemble:
         """gram[j][k] = a_j . b_k, clipped to [-1, 1] against round-off."""
         return _readonly(np.clip(self.a_matrix @ self.b_matrix.T, -1.0, 1.0))
 
+    @cached_property
+    def svd(self) -> "GramSvd":
+        """The Gram's SVD truncated to three columns, factored once per ensemble."""
+        n = self.n_settings
+        u_full, s_full, vt_full = np.linalg.svd(self.gram)
+        k = min(n, 3)
+        u = np.zeros((n, 3))
+        v = np.zeros((n, 3))
+        p = np.zeros(3)
+        u[:, :k] = u_full[:, :k]
+        v[:, :k] = vt_full[:k].T
+        p[:k] = s_full[:k]
+        p[p < _SINGULAR_CUTOFF * max(p[0], 0.0)] = 0.0
+        return GramSvd(u=u, v=v, p=p)
+
 
 @dataclass(frozen=True)
 class GramSvd:
@@ -136,19 +151,12 @@ class GramSvd:
 
 
 def gram_svd(settings: SettingsEnsemble) -> GramSvd:
-    """SVD of the settings Gram matrix, truncated to three columns."""
-    gram = settings.gram
-    n = settings.n_settings
-    u_full, s_full, vt_full = np.linalg.svd(gram)
-    k = min(n, 3)
-    u = np.zeros((n, 3))
-    v = np.zeros((n, 3))
-    p = np.zeros(3)
-    u[:, :k] = u_full[:, :k]
-    v[:, :k] = vt_full[:k].T
-    p[:k] = s_full[:k]
-    p[p < _SINGULAR_CUTOFF * max(p[0], 0.0)] = 0.0
-    return GramSvd(u=u, v=v, p=p)
+    """SVD of the settings Gram matrix, truncated to three columns.
+
+    The factorization is cached on the ensemble, so every call after
+    the first returns the same read-only GramSvd.
+    """
+    return settings.svd
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,17 @@ The LPs are reduced to the span of the fixed side's columns, so a
 table step has N*(rank+1) equality rows and the rho step at most
 (rank_A+1)*(rank_B+1) <= (min(N, 3M)+1)^2, never N^2.
 
+A table step whose reduced system is square (rank+1 = M) is solved in
+closed form instead.  Its rows for setting j read R t_j = V h_j, with R
+the M x M matrix of the fixed side's coordinates and the weights.  R is
+invertible: zero marginals make the fixed side's weighted columns sum
+to zero, so every row of its coordinates is orthogonal to the all-ones
+vector, while rho . 1 = 1.  So t_j = V R^-1 h_j is the only solution,
+the single binding constraint is |T| <= 1, and V = min(1, 1/max|R^-1 H|)
+is the LP's exact optimum, from one linear solve.  At M = 4 and N >= 3
+the fixed side has rank 3, so every table step takes this path; HiGHS
+solves the table steps of larger M and every rho step.
+
 The finish never enumerates deterministic strategies and never calls
 the LP oracle, so comparing it with the oracle compares two
 independent computations.  Its result is rebuilt exactly (weights
@@ -111,8 +122,11 @@ def side_lp(
     Maximizes V subject to T diag(rho) other^T = V target, T rho = 0 and
     |T| <= 1.  The N x N correlation rows are reduced to the span of
     the fixed side's weighted columns, where they read R t_j = V h_j for
-    each setting j.  Returns (T, V), or None when the target leaves
-    that span (only V = 0 is feasible) or HiGHS fails.
+    each setting j.  When R is square, t_j = V R^-1 h_j is the only
+    solution, so V is the largest value that keeps |T| <= 1 and no LP
+    is solved; otherwise HiGHS solves the LP.  Returns (T, V), or None
+    when the target leaves that span (only V = 0 is feasible), R is
+    singular or HiGHS fails.
     """
     n, m = other.shape
     basis, coords = _span(other * rho)
@@ -122,6 +136,15 @@ def side_lp(
     if _outside(target, rhs[:, :-1] @ basis.T):
         return None
     block = np.vstack([coords, rho[None, :]])
+    if height == m:
+        try:
+            table = np.linalg.solve(block, rhs.T).T
+        except np.linalg.LinAlgError:
+            return None
+        peak = float(np.max(np.abs(table)))
+        if peak <= 1.0:
+            return table, 1.0
+        return table / peak, 1.0 / peak
     # Block-diagonal rows, one (rank+1) x m block per setting, plus the
     # V column; assembled directly in compressed-column form.
     table_rows = (height * np.arange(n))[:, None, None] + np.arange(height)[None, None, :]

@@ -54,6 +54,13 @@ def test_svd_rank_capped_at_three():
     assert np.all(np.diff(svd.p) <= 1e-15)
 
 
+def test_svd_is_factored_once_per_ensemble():
+    settings = SettingsEnsemble.random(5, np.random.default_rng(53))
+    svd = gram_svd(settings)
+    assert gram_svd(settings) is svd
+    assert not svd.u.flags.writeable
+
+
 def test_frame_satisfies_both_orthogonality_families():
     rho = floor_normalized_weights(np.array([0.3, 0.25, 0.25, 0.2]), 1e-6)
     frame = make_frame(rho, seed=5)

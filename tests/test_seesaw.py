@@ -1,4 +1,5 @@
 import numpy as np
+from scipy.optimize import linprog
 
 from lvt import (
     DiscreteLhvModel,
@@ -38,16 +39,77 @@ def test_finish_reaches_the_oracle_with_enough_states():
         assert finished.visibility >= max_visibility_lp(settings).value - 0.02
 
 
-def test_table_lp_keeps_the_model_exact():
-    settings, start = span_model(4, 10, 17)
+def finished_model(n, m, seed):
+    """A certified model over general tables: the finish of a span model."""
+    settings, start = span_model(n, m, seed)
+    return settings, seesaw(start, settings, np.random.default_rng(seed))
+
+
+def square_steps(settings, model):
+    """The (fixed table, target) pairs whose reduced system R is square."""
     gram = settings.gram
-    for fixed, target in ((start.b_table, gram), (start.a_table, gram.T)):
-        table, v = side_lp(np.array(fixed), np.array(start.rho), target)
-        assert v >= start.visibility - 1e-9
-        assert np.max(np.abs(table)) <= 1.0 + 1e-9
-        assert np.max(np.abs(table @ start.rho)) < 1e-8
-        correlations = (table * start.rho) @ fixed.T
-        assert np.max(np.abs(correlations - v * target)) < 1e-8
+    pairs = ((model.b_table, gram), (model.a_table, gram.T))
+    return [
+        (np.array(fixed), target) for fixed, target in pairs
+        if np.linalg.matrix_rank(fixed) == model.m_states - 1
+    ]
+
+
+def test_table_lp_keeps_the_model_exact():
+    # (4, 10) reaches HiGHS.  At (100, 4) both fixed sides, and at
+    # (4, 5) the finish's A table, have rank M - 1, so R is square.
+    cases = [span_model(4, 10, 17), span_model(100, 4, 17), finished_model(4, 5, 17)]
+    assert [len(square_steps(*case)) for case in cases] == [0, 2, 1]
+    for settings, start in cases:
+        gram = settings.gram
+        for fixed, target in ((start.b_table, gram), (start.a_table, gram.T)):
+            table, v = side_lp(np.array(fixed), np.array(start.rho), target)
+            assert v >= start.visibility - 1e-9
+            assert np.max(np.abs(table)) <= 1.0 + 1e-9
+            assert np.max(np.abs(table @ start.rho)) < 1e-8
+            correlations = (table * start.rho) @ fixed.T
+            assert np.max(np.abs(correlations - v * target)) < 1e-8
+
+
+def full_table_lp(other, rho, target):
+    """max V over T diag(rho) other^T = V target, T rho = 0, |T| <= 1, unreduced."""
+    n, m = other.shape
+    correlation_rows = np.column_stack([np.kron(np.eye(n), other * rho), -target.ravel()])
+    marginal_rows = np.column_stack([np.kron(np.eye(n), rho[None, :]), np.zeros(n)])
+    bounds = np.ones((n * m + 1, 2))
+    bounds[:, 0] = -1.0
+    bounds[-1, 0] = 0.0
+    cost = np.zeros(n * m + 1)
+    cost[-1] = -1.0
+    result = linprog(
+        cost, A_eq=np.vstack([correlation_rows, marginal_rows]), b_eq=np.zeros(n * n + n),
+        bounds=bounds, method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.status == 0
+    return result.x[:-1].reshape(n, m), result.x[-1]
+
+
+def test_square_table_step_matches_highs(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a square table step reached HiGHS")
+
+    cases = [span_model(4, 4, 29), span_model(7, 4, 31), finished_model(4, 5, 17)]
+    monkeypatch.setattr(seesaw_module, "linprog", no_lp)
+    capped = 0
+    for settings, model in cases:
+        steps = square_steps(settings, model)
+        assert steps
+        # A target scaled by 0.01 leaves max|R^-1 H| <= 1, so V caps at 1.
+        steps += [(fixed, 0.01 * target) for fixed, target in steps]
+        rho = np.array(model.rho)
+        for fixed, target in steps:
+            table, v = side_lp(fixed, rho, target)
+            expected_table, expected_v = full_table_lp(fixed, rho, target)
+            assert abs(v - expected_v) < 1e-9
+            assert np.max(np.abs(table - expected_table)) < 1e-8
+            capped += v == 1.0
+    assert capped >= len(cases)
 
 
 def test_weight_lp_keeps_the_model_exact():
@@ -116,4 +178,7 @@ def test_lp_rows_grow_with_n_not_n_squared(monkeypatch):
     finished = seesaw(start, settings, np.random.default_rng(4))
     assert heights
     assert max(heights) <= n * (m + 1)
+    # Every table step at M = 4 is square and solved without HiGHS; the
+    # weight steps' rows depend on M alone.
+    assert max(heights) < n
     assert validate_model(finished, settings, 1e-8).passed
