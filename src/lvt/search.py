@@ -81,6 +81,22 @@ _FACTOR_CAP = 8.0
 _SHARPNESS_BASE = 50.0
 _SHARPNESS_DOUBLINGS = 4
 
+# A block of moves costs a fixed overhead (about 50 us of Python and
+# NumPy dispatch per kernel call) plus a term per table entry scored.
+# About one move in ten is accepted, and the moves a block scores after
+# its first acceptance are scored again in the next block, so blocks
+# longer than 16 moves mostly score waste.  Past 16 384 table entries
+# (moves * N * M) per restart the per-entry term outweighs the overhead
+# a longer block saves, so large tables take shorter blocks.
+_BLOCK_MOVES = 16
+_BLOCK_ENTRIES = 16384
+
+# Soft-max exponents are clamped here: NumPy's exp runs about 20 times
+# slower on results that underflow and about 150 times slower on
+# subnormal results, while exp(-700) ~ 1e-304 adds nothing to a sum
+# that the peak entry's exp(0) = 1 already holds.
+_EXPONENT_FLOOR = -700.0
+
 _BOOTSTRAP_RESAMPLES = 200
 _SETTINGS_JITTER = 0.25
 
@@ -178,24 +194,30 @@ def _state_tables(
     return tables, solved
 
 
-def _scores(tables: np.ndarray, beta: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+def _scores(tables: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Acceptance scores and exact visibilities of a stack of table pairs.
 
     The exact scale-balanced visibility is 1/(max|A'| max|B'|), capped
     at 1.  The score softens each max to a log-sum-exp of sharpness
-    beta, so tied entries contribute; beta None scores with the exact
-    visibility (the ladder's final rung).  Pairs with a non-finite
-    entry score -inf, so they are never accepted.
+    beta[r], so tied entries contribute; an infinite beta scores with
+    the exact visibility (the ladder's final rung).  Pairs with a
+    non-finite entry score -inf, so they are never accepted.  The
+    tables are overwritten.
     """
-    magnitudes = np.abs(tables).reshape(tables.shape[0], 2, -1)
+    count = tables.shape[0]
+    magnitudes = np.abs(tables, out=tables).reshape(count, 2, -1)
     peaks = magnitudes.max(axis=2)
     visibility = 1.0 / np.maximum(peaks[:, 0] * peaks[:, 1], 1.0)
-    if beta is None:
-        score = visibility.copy()
-    else:
-        spread = np.exp(beta * (magnitudes - peaks[:, :, None])).sum(axis=2)
-        soft = np.log(spread) / beta + peaks
-        score = 1.0 / (soft[:, 0] * soft[:, 1])
+    score = visibility.copy()
+    soft = np.isfinite(beta)
+    if soft.any():
+        sharp = np.where(soft, beta, 1.0)[:, None]
+        magnitudes -= peaks[:, :, None]
+        magnitudes *= sharp[:, :, None]
+        np.maximum(magnitudes, _EXPONENT_FLOOR, out=magnitudes)
+        spread = np.exp(magnitudes, out=magnitudes).sum(axis=2)
+        soft_max = np.log(spread) / sharp + peaks
+        score[soft] = (1.0 / (soft_max[:, 0] * soft_max[:, 1]))[soft]
     finite = np.isfinite(peaks).all(axis=1)
     if not finite.all():
         score[~finite] = -np.inf
@@ -251,17 +273,32 @@ def state_to_model(
     )
 
 
+def _block_moves(n: int, m: int) -> int:
+    """Moves a restart scores per block: a power of two, at most _BLOCK_MOVES."""
+    moves = _BLOCK_MOVES
+    while moves > 1 and moves * n * m > _BLOCK_ENTRIES:
+        moves //= 2
+    return moves
+
+
 def _climb(
     settings: SettingsEnsemble,
     config: SearchConfig,
     on_accept: Optional[Callable[[np.ndarray, float], None]] = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """All restarts of one call, advanced in lockstep.
+    """All restarts of one call, each scoring a block of moves at a time.
 
-    Each restart draws from its own stream in the same order as a lone
-    climb would, and one stacked kernel call scores every live
-    restart's candidate per step.  Returns (best value per restart,
-    best state per restart, evaluations).
+    Each restart draws its moves from its own stream in the order a
+    stepwise climb (one move per step) would.  A block scores a
+    restart's next moves against its current state, stacked with every
+    other live restart's block in one kernel call, and takes the first
+    improving move; the moves before it count as rejections, and the
+    draws after it wait for the next block.  A block ends where the
+    stepwise climb would change how it scores or moves: at a sharpness
+    rung, at the rejection that halves the step factor, and at the
+    iteration budget.  So every restart takes exactly the steps of the
+    stepwise climb.  Returns (best value per restart, best state per
+    restart, steps taken).
     """
     svd = gram_svd(settings)
     sqrt_p = np.sqrt(svd.p)
@@ -273,53 +310,74 @@ def _climb(
 
     evals = 0
     x = np.empty((count, dim))
+    exact = np.array([math.inf])
     for r, rng in enumerate(rngs):
         for _ in range(100):
             x[r] = np.concatenate([rng.standard_normal(6 * m), rng.uniform(0.0, 1.0, m)])
             evals += 1
             tables, solved = _state_tables(x[r : r + 1], w_ab, m, config.rho_min)
-            if solved[0] and _scores(tables, None)[0][0] > -np.inf:
+            if solved[0] and _scores(tables, exact)[0][0] > -np.inf:
                 break
         else:
             raise ConstructionFailureError("no feasible starting frame found in 100 draws")
-    current, _ = _state_tables(x, w_ab, m, config.rho_min)
 
-    ladder: list = [_SHARPNESS_BASE * 2.0**k for k in range(_SHARPNESS_DOUBLINGS)]
-    ladder.append(None)  # exact objective on the final rung
-    beta = ladder[0]
+    ladder = [_SHARPNESS_BASE * 2.0**k for k in range(_SHARPNESS_DOUBLINGS)]
+    ladder.append(math.inf)  # exact objective on the final rung
     phase_len = max(1, config.inner_iters // len(ladder))
-    score, best_v = _scores(current, beta)
+    beta = np.full(count, ladder[0])
+    score, best_v = _scores(_state_tables(x, w_ab, m, config.rho_min)[0], beta)
     best_x = x.copy()
     if on_accept is not None:
         for r in range(count):
             on_accept(x[r].copy(), float(best_v[r]))
 
-    factor = [1.0] * count
+    block = _block_moves(settings.n_settings, m)
+    factor = np.ones(count)
     rejections = [0] * count
     streak = [0] * count
-    rows = np.arange(count)
-    for k in range(config.inner_iters):
-        live = [r for r in range(count) if factor[r] >= _FACTOR_FLOOR]
+    steps = [0] * count
+    queued: list = [[] for _ in range(count)]
+    while True:
+        live = [
+            r for r in range(count)
+            if factor[r] >= _FACTOR_FLOOR and steps[r] < config.inner_iters
+        ]
         if not live:
             break
-        if k > 0 and k % phase_len == 0 and k // phase_len < len(ladder):
-            beta = ladder[k // phase_len]
-            score, _ = _scores(current, beta)
-        idx = np.empty(len(live), dtype=np.intp)
-        step = np.empty(len(live))
-        for i, r in enumerate(live):
-            idx[i] = rngs[r].integers(dim)
-            step[i] = config.step_scale * factor[r] * rngs[r].standard_normal()
-        candidate = x[live]
-        candidate[rows[: len(live)], idx] += step
+        sizes = []
+        for r in live:
+            phase = steps[r] // phase_len
+            if steps[r] > 0 and steps[r] % phase_len == 0 and phase < len(ladder):
+                beta[r] = ladder[phase]
+                tables, _ = _state_tables(x[r : r + 1], w_ab, m, config.rho_min)
+                score[r] = _scores(tables, beta[r : r + 1])[0][0]
+            if phase + 1 < len(ladder):
+                rung_end = (phase + 1) * phase_len
+            else:
+                rung_end = config.inner_iters
+            size = min(block, config.patience - rejections[r], rung_end - steps[r])
+            while len(queued[r]) < size:
+                queued[r].append((rngs[r].integers(dim), rngs[r].standard_normal()))
+            sizes.append(size)
+        owner = np.repeat(live, sizes)
+        moves = np.array([move for r, size in zip(live, sizes) for move in queued[r][:size]])
+        candidate = x[owner]
+        candidate[np.arange(owner.shape[0]), moves[:, 0].astype(np.intp)] += (
+            config.step_scale * factor[owner] * moves[:, 1]
+        )
         tables, solved = _state_tables(candidate, w_ab, m, config.rho_min)
-        evals += len(live)
-        new_score, new_v = _scores(tables, beta)
-        accepted = solved & (new_score > score[live])
-        for i, r in enumerate(live):
-            if accepted[i]:
+        new_score, new_v = _scores(tables, beta[owner])
+        improved = solved & (new_score > score[owner])
+        start = 0
+        for r, size in zip(live, sizes):
+            hits = np.flatnonzero(improved[start : start + size])
+            taken = int(hits[0]) + 1 if hits.size else size
+            del queued[r][:taken]
+            steps[r] += taken
+            evals += taken
+            if hits.size:
+                i = start + taken - 1
                 x[r] = candidate[i]
-                current[r] = tables[i]
                 score[r] = new_score[i]
                 if new_v[i] > best_v[r]:
                     best_v[r] = new_v[i]
@@ -327,16 +385,17 @@ def _climb(
                     if on_accept is not None:
                         on_accept(candidate[i].copy(), float(new_v[i]))
                 rejections[r] = 0
-                streak[r] += 1
+                streak[r] = streak[r] + 1 if taken == 1 else 1
                 if streak[r] >= 10:
                     factor[r] = min(factor[r] * 2.0, _FACTOR_CAP)
                     streak[r] = 0
             else:
                 streak[r] = 0
-                rejections[r] += 1
+                rejections[r] += size
                 if rejections[r] >= config.patience:
                     factor[r] *= 0.5
                     rejections[r] = 0
+            start += size
     return best_v, best_x, evals
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lvt import search as search_module
 from lvt import (
     Direction,
     InvalidInputError,
@@ -11,6 +12,7 @@ from lvt import (
     VisibilityEstimate,
     extrapolate,
     fit_power_law,
+    gram_svd,
     inner_maximize,
     max_visibility_lp,
     n_sweep,
@@ -96,6 +98,108 @@ def test_m4_model_keeps_zero_marginals():
     model, _ = inner_maximize(settings, cfg)
     assert validate_model(model, settings, 1e-8).passed
     assert np.max(np.abs(model.b_table @ model.rho)) < 1e-12
+
+
+def stepwise_climb(settings, config):
+    """Reference climb: one move per restart per step, all restarts in lockstep."""
+    sm = search_module
+    svd = gram_svd(settings)
+    sqrt_p = np.sqrt(svd.p)
+    w_ab = np.stack([svd.u * sqrt_p, svd.v * sqrt_p])
+    m = config.m_states
+    dim = 7 * m
+    count = config.restarts
+    rngs = [sm._derive_rng([config.seed, sm._TAG_RESTART, r]) for r in range(count)]
+    evals = 0
+    x = np.empty((count, dim))
+    for r, rng in enumerate(rngs):
+        while True:
+            x[r] = np.concatenate([rng.standard_normal(6 * m), rng.uniform(0.0, 1.0, m)])
+            evals += 1
+            tables, solved = sm._state_tables(x[r : r + 1], w_ab, m, config.rho_min)
+            if solved[0] and sm._scores(tables, np.array([math.inf]))[0][0] > -np.inf:
+                break
+    current, _ = sm._state_tables(x, w_ab, m, config.rho_min)
+    ladder = [sm._SHARPNESS_BASE * 2.0**k for k in range(sm._SHARPNESS_DOUBLINGS)]
+    ladder.append(math.inf)
+    beta = ladder[0]
+    phase_len = max(1, config.inner_iters // len(ladder))
+    score, best_v = sm._scores(current.copy(), np.full(count, beta))
+    best_x = x.copy()
+    factor = [1.0] * count
+    rejections = [0] * count
+    streak = [0] * count
+    for k in range(config.inner_iters):
+        live = [r for r in range(count) if factor[r] >= sm._FACTOR_FLOOR]
+        if not live:
+            break
+        if k > 0 and k % phase_len == 0 and k // phase_len < len(ladder):
+            beta = ladder[k // phase_len]
+            score, _ = sm._scores(current.copy(), np.full(count, beta))
+        idx = np.empty(len(live), dtype=np.intp)
+        step = np.empty(len(live))
+        for i, r in enumerate(live):
+            idx[i] = rngs[r].integers(dim)
+            step[i] = config.step_scale * factor[r] * rngs[r].standard_normal()
+        candidate = x[live]
+        candidate[np.arange(len(live)), idx] += step
+        tables, solved = sm._state_tables(candidate, w_ab, m, config.rho_min)
+        evals += len(live)
+        new_score, new_v = sm._scores(tables.copy(), np.full(len(live), beta))
+        accepted = solved & (new_score > score[live])
+        for i, r in enumerate(live):
+            if accepted[i]:
+                x[r] = candidate[i]
+                current[r] = tables[i]
+                score[r] = new_score[i]
+                if new_v[i] > best_v[r]:
+                    best_v[r] = new_v[i]
+                    best_x[r] = candidate[i]
+                rejections[r] = 0
+                streak[r] += 1
+                if streak[r] >= 10:
+                    factor[r] = min(factor[r] * 2.0, sm._FACTOR_CAP)
+                    streak[r] = 0
+            else:
+                streak[r] = 0
+                rejections[r] += 1
+                if rejections[r] >= config.patience:
+                    factor[r] *= 0.5
+                    rejections[r] = 0
+    return best_v, best_x, evals
+
+
+@pytest.mark.parametrize("n, m, restarts", [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3)])
+def test_block_climb_matches_stepwise_reference(n, m, restarts):
+    # patience 7 halves the step factor often enough that blocks end on
+    # halvings, restarts run out early, and blocks meet the rung ends.
+    settings = SettingsEnsemble.random(n, np.random.default_rng([107, n, m]))
+    cfg = SearchConfig(
+        n_settings=n, m_states=m, inner_iters=300, restarts=restarts, patience=7, seed=5
+    )
+    best_v, best_x, evals = search_module._climb(settings, cfg)
+    ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
+    assert np.array_equal(best_v, ref_v)
+    assert np.array_equal(best_x, ref_x)
+    assert evals == ref_evals
+
+
+def test_soft_score_is_finite_far_below_the_peak():
+    # Entries 10^3 / beta below the peak would underflow exp without the
+    # exponent floor; the score must still equal the unclamped formula.
+    beta = 50.0
+    tables = np.zeros((1, 2, 3, 4))
+    tables[0] = 1.0
+    tables[0, :, 0, 0] = 1.0 + 1e3 / beta
+    score, visibility = search_module._scores(tables.copy(), np.array([beta]))
+    magnitudes = np.abs(tables).reshape(1, 2, -1)
+    peaks = magnitudes.max(axis=2)
+    with np.errstate(under="ignore"):
+        spread = np.exp(beta * (magnitudes - peaks[:, :, None])).sum(axis=2)
+    soft = np.log(spread) / beta + peaks
+    assert np.isfinite(score[0])
+    assert score[0] == 1.0 / (soft[0, 0] * soft[0, 1])
+    assert visibility[0] == 1.0 / 21.0**2
 
 
 def test_outer_minimum_at_single_setting_is_one():
