@@ -60,28 +60,29 @@ _SEED_MASK = (1 << 64) - 1
 _TAG_CLI_SETTINGS = 6
 _TAG_CLI_WEIGHTS = 7
 
-# Wall-time projection constants, fitted to traced sweeps on a 2-core
-# machine; sweeps projected past the gate refuse to start without --long.
+# Wall-time projection constants, fitted to timed climbs and traced
+# sweeps on a 2-core machine; sweeps projected past the gate refuse to
+# start without --long.
 LONG_RUN_GATE_SECONDS = 60.0
-# A climb step advances every restart at once: a fixed cost per step
-# plus a term per restart in the table size N * M.
-_CLIMB_SECONDS_PER_STEP = 1.1e-4
-_CLIMB_SECONDS_PER_ENTRY = 2e-8
-# Each inner call factors the N x N Gram once.
-_GRAM_SVD_SECONDS_PER_CUBE = 3.7e-10
+# Each restart's climb step costs a fixed amount (its share of a block's
+# kernel call and bookkeeping), a term per hidden state and a term per
+# table entry N * M.
+_CLIMB_SECONDS_PER_STEP = 9e-6
+_CLIMB_SECONDS_PER_STATE = 5e-7
+_CLIMB_SECONDS_PER_ENTRY = 1.3e-8
 # The see-saw finish after each inner climb runs about 10 rounds of two
-# table steps and one weight step (8 at M = 4, up to 60 at M = 34).
-# Every step projects the N x N Gram onto the fixed side's span, a term
-# in N^2 * M.  A square table step (M = 4, N >= 3) is then one linear
-# solve; the other table steps and every weight step are HiGHS LPs, a
-# fixed overhead plus a term in the size of the constraint matrix:
-# N * M * min(N, M) for a table step, (min(N, 3M) + 1)^2 * (3M + 1) for
-# a weight step over the current and 2M fresh states.
+# table steps and one weight step (8 at M = 4, up to 60 at M = 34).  A
+# square table step (M = 4, N >= 3) is one small linear solve; the other
+# table steps and every weight step are HiGHS LPs, a fixed overhead plus
+# a term in the size of the constraint matrix: N * M * min(N, M) for a
+# table step, (min(N, 3M) + 1)^2 * (3M + 1) for a weight step over the
+# current and 2M fresh states.  Certifying the finished model checks it
+# against the N x N Gram, a term in N^2 * M once per inner call.
 _FINISH_ROUNDS = 10
-_PROJECTION_SECONDS_PER_ENTRY = 1.5e-9
 _LP_SECONDS = 3e-3
 _TABLE_LP_SECONDS_PER_ENTRY = 2e-6
 _WEIGHT_LP_SECONDS_PER_ENTRY = 1.4e-6
+_CERTIFY_SECONDS_PER_ENTRY = 4e-8
 
 
 @dataclass(frozen=True)
@@ -197,23 +198,23 @@ def parse_scan(text: str) -> list:
 
 
 def projected_search_seconds(n_values, config: SearchConfig) -> float:
-    """Projected wall time of a sweep: per inner call, the Gram SVD, the climb and the finish."""
+    """Projected wall time of a sweep: per inner call, the climb and the finish."""
     total = 0.0
     m = config.m_states
     pool = 3 * m
     for n in n_values:
-        climb = (config.inner_iters + 1) * (
-            _CLIMB_SECONDS_PER_STEP + config.restarts * _CLIMB_SECONDS_PER_ENTRY * n * m
+        climb = (config.inner_iters + 1) * config.restarts * (
+            _CLIMB_SECONDS_PER_STEP + _CLIMB_SECONDS_PER_STATE * m
+            + _CLIMB_SECONDS_PER_ENTRY * n * m
         )
-        projection = _PROJECTION_SECONDS_PER_ENTRY * n * n * m
-        table = projection
+        table = 0.0
         if not (m == 4 and n >= 3):
-            table += _LP_SECONDS + _TABLE_LP_SECONDS_PER_ENTRY * n * m * min(n, m)
-        weight = projection + _LP_SECONDS + (
+            table = _LP_SECONDS + _TABLE_LP_SECONDS_PER_ENTRY * n * m * min(n, m)
+        weight = _LP_SECONDS + (
             _WEIGHT_LP_SECONDS_PER_ENTRY * (min(n, pool) + 1) ** 2 * (pool + 1)
         )
-        finish = _FINISH_ROUNDS * (2 * table + weight)
-        total += config.outer_iters * (_GRAM_SVD_SECONDS_PER_CUBE * n**3 + climb + finish)
+        finish = _FINISH_ROUNDS * (2 * table + weight) + _CERTIFY_SECONDS_PER_ENTRY * n * n * m
+        total += config.outer_iters * (climb + finish)
     return total
 
 

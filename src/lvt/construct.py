@@ -2,9 +2,12 @@
 
 For N settings per side, the N x N Gram matrix g[j][k] = a_j.b_k has
 rank at most 3, so g = U diag(p) V^T with three (or fewer) nonzero
-singular values.  Given M hidden states with weights rho and two
-triples of M-vectors q_i, t_i that are biorthogonal (q_i.t_j = delta_ij)
-and orthogonal to the sqrt(rho) vector, the tables
+singular values.  The factors come from QRs of the two (N, 3) arrays
+of directions and one 3 x 3 SVD, so the Gram itself is formed only
+where a model is checked against it.  Given M hidden states with
+weights rho and two triples of M-vectors q_i, t_i that are
+biorthogonal (q_i.t_j = delta_ij) and orthogonal to the sqrt(rho)
+vector, the tables
 
     A'[j][n] = sum_i U[j][i] sqrt(p_i) (q_i)[n] / sqrt(rho_n)
     B'[k][n] = sum_i V[k][i] sqrt(p_i) (t_i)[n] / sqrt(rho_n)
@@ -104,16 +107,25 @@ class SettingsEnsemble:
 
     @cached_property
     def svd(self) -> "GramSvd":
-        """The Gram's SVD truncated to three columns, factored once per ensemble."""
+        """The Gram's rank-3 factors, computed once per ensemble from the settings.
+
+        gram = A B^T for the (N, 3) direction arrays, so reduced QRs
+        A = Q_a R_a and B = Q_b R_b give gram = Q_a (R_a R_b^T) Q_b^T.
+        The SVD W diag(p) Z^T of that small middle factor yields
+        u = Q_a W and v = Q_b Z: O(N) work, where an SVD of the N x N
+        Gram costs O(N^3).
+        """
         n = self.n_settings
-        u_full, s_full, vt_full = np.linalg.svd(self.gram)
+        q_a, r_a = np.linalg.qr(self.a_matrix)
+        q_b, r_b = np.linalg.qr(self.b_matrix)
+        w, s, zt = np.linalg.svd(r_a @ r_b.T)
         k = min(n, 3)
         u = np.zeros((n, 3))
         v = np.zeros((n, 3))
         p = np.zeros(3)
-        u[:, :k] = u_full[:, :k]
-        v[:, :k] = vt_full[:k].T
-        p[:k] = s_full[:k]
+        u[:, :k] = q_a @ w
+        v[:, :k] = q_b @ zt.T
+        p[:k] = s
         p[p < _SINGULAR_CUTOFF * max(p[0], 0.0)] = 0.0
         return GramSvd(u=u, v=v, p=p)
 

@@ -20,8 +20,11 @@ simplex for rho, sqrt(rho)-orthogonality, biorthogonality via a 3x3
 solve) and reads off the certified visibility.  The relative scale of
 q versus t is balanced in closed form: scaling q by s multiplies the A
 table by s and the B table by 1/s, so the best achievable value at a
-given state is 1/(max|A'| max|B'|), capped at 1.  All restarts of one
-call advance in lockstep, so each step costs one stacked evaluation.
+given state is 1/(max|A'| max|B'|), capped at 1.  Most moves are
+rejected, so each restart scores a block of its next moves against its
+current state, and one stacked evaluation scores the blocks of all
+live restarts; the restart takes the first improving move, exactly as
+a one-move-per-step climb would.
 
 The exact objective is a min over table entries of equal magnitude at
 the optimum, so its ridges are too sharp for single-component moves:
@@ -82,13 +85,17 @@ _SHARPNESS_BASE = 50.0
 _SHARPNESS_DOUBLINGS = 4
 
 # A block of moves costs a fixed overhead (about 50 us of Python and
-# NumPy dispatch per kernel call) plus a term per table entry scored.
-# About one move in ten is accepted, and the moves a block scores after
-# its first acceptance are scored again in the next block, so blocks
-# longer than 16 moves mostly score waste.  Past 16 384 table entries
-# (moves * N * M) per restart the per-entry term outweighs the overhead
-# a longer block saves, so large tables take shorter blocks.
+# NumPy dispatch per kernel call) plus a term per table entry scored,
+# and the moves a block scores after its first acceptance are scored
+# again in the next block.  So a block should end about where the first
+# acceptance is expected: about one move in ten is accepted at M = 4-5,
+# but one in four or more at M = 34, so blocks shrink as M grows (at
+# most _BLOCK_STATE_MOVES moves * M).  Past _BLOCK_ENTRIES table entries
+# (moves * N * M) per restart, the per-entry term outweighs the overhead
+# a longer block saves.  Measured on a 2-core machine, this picks the
+# fastest power of two to within noise from N = 2 to 1000 and M = 4 to 34.
 _BLOCK_MOVES = 16
+_BLOCK_STATE_MOVES = 160
 _BLOCK_ENTRIES = 16384
 
 # Soft-max exponents are clamped here: NumPy's exp runs about 20 times
@@ -190,8 +197,8 @@ def _state_tables(
             except np.linalg.LinAlgError:
                 frame[r] = 0.0
                 solved[r] = False
-    tables = (w_ab @ frame.reshape(count, 2, 3, m)) / srho[:, None]
-    return tables, solved
+    frame /= srho
+    return w_ab @ frame.reshape(count, 2, 3, m), solved
 
 
 def _scores(tables: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +260,8 @@ def state_to_model(
     t = project_out(t, srho)
     svd = gram_svd(settings)
     sqrt_p = np.sqrt(svd.p)
-    a_raw = ((svd.u * sqrt_p) @ q) / srho
-    b_raw = ((svd.v * sqrt_p) @ t) / srho
+    a_raw = (svd.u * sqrt_p) @ (q / srho)
+    b_raw = (svd.v * sqrt_p) @ (t / srho)
     max_a = float(np.max(np.abs(a_raw)))
     max_b = float(np.max(np.abs(b_raw)))
     prod = max_a * max_b
@@ -276,7 +283,7 @@ def state_to_model(
 def _block_moves(n: int, m: int) -> int:
     """Moves a restart scores per block: a power of two, at most _BLOCK_MOVES."""
     moves = _BLOCK_MOVES
-    while moves > 1 and moves * n * m > _BLOCK_ENTRIES:
+    while moves > 1 and (moves * m > _BLOCK_STATE_MOVES or moves * n * m > _BLOCK_ENTRIES):
         moves //= 2
     return moves
 
@@ -414,10 +421,10 @@ def inner_maximize(
     m_states states, and its visibility is the estimate's value, which
     is never below the climb's.
 
-    Restarts draw from independent streams and advance in lockstep.
+    Restarts draw from independent streams and advance together.
     on_accept sees every climb state that improves its restart's best,
-    which state_to_model rebuilds; the finish does not report through
-    it.
+    which state_to_model rebuilds, in order within each restart but not
+    across restarts; the finish does not report through it.
     """
     if settings.n_settings != config.n_settings:
         raise InvalidInputError(

@@ -24,7 +24,12 @@ still fits in M states (a basic optimum always does once
 M >= (N+1)^2; otherwise the step falls back to the current states).
 The LPs are reduced to the span of the fixed side's columns, so a
 table step has N*(rank+1) equality rows and the rho step at most
-(rank_A+1)*(rank_B+1) <= (min(N, 3M)+1)^2, never N^2.
+(rank_A+1)*(rank_B+1) <= (min(N, 3M)+1)^2, never N^2.  The Gram enters
+each step through its rank-3 factors g = U diag(p) V^T, cached on the
+settings (lvt.construct): the reduced targets and the parts of g
+outside the spans come from N x 3 and 3 x rank products, so each step
+costs O(N*M) besides its solve.  Only the certification of the
+finished model forms the N x N Gram.
 
 A table step whose reduced system is square (rank+1 = M) is solved in
 closed form instead.  Its rows for setting j read R t_j = V h_j, with R
@@ -53,7 +58,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from .construct import DiscreteLhvModel, SettingsEnsemble, validate_model
+from .construct import DiscreteLhvModel, GramSvd, SettingsEnsemble, validate_model
 
 # HiGHS's default feasibility tolerance (1e-7) leaves residuals that the
 # exact rebuild would have to absorb as lost visibility.
@@ -97,10 +102,10 @@ def _span(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :rank], s[:rank, None] * wt[:rank]
 
 
-def _outside(target: np.ndarray, projected: np.ndarray) -> bool:
-    """True when target leaves the span it was projected onto."""
-    return float(np.linalg.norm(target - projected)) > _SPAN_TOL * max(
-        float(np.linalg.norm(target)), 1.0
+def _outside(residual: np.ndarray, target: GramSvd) -> bool:
+    """True when residual, the part of target outside a span, exceeds round-off."""
+    return float(np.linalg.norm(residual)) > _SPAN_TOL * max(
+        float(np.linalg.norm(target.p)), 1.0
     )
 
 
@@ -115,26 +120,30 @@ def _maximize_v(a_eq, b_eq: np.ndarray, bounds: np.ndarray) -> Optional[np.ndarr
 
 
 def side_lp(
-    other: np.ndarray, rho: np.ndarray, target: np.ndarray
+    other: np.ndarray, rho: np.ndarray, target: GramSvd
 ) -> Optional[tuple[np.ndarray, float]]:
     """Best table T for one side with the other side and the weights fixed.
 
-    Maximizes V subject to T diag(rho) other^T = V target, T rho = 0 and
-    |T| <= 1.  The N x N correlation rows are reduced to the span of
-    the fixed side's weighted columns, where they read R t_j = V h_j for
-    each setting j.  When R is square, t_j = V R^-1 h_j is the only
-    solution, so V is the largest value that keeps |T| <= 1 and no LP
-    is solved; otherwise HiGHS solves the LP.  Returns (T, V), or None
-    when the target leaves that span (only V = 0 is feasible), R is
-    singular or HiGHS fails.
+    Maximizes V subject to T diag(rho) other^T = V g, T rho = 0 and
+    |T| <= 1, where g = target.u diag(target.p) target.v^T.  The N x N
+    correlation rows are reduced to the span of the fixed side's
+    weighted columns, where they read R t_j = V h_j for each setting j.
+    When R is square, t_j = V R^-1 h_j is the only solution, so V is the
+    largest value that keeps |T| <= 1 and no LP is solved; otherwise
+    HiGHS solves the LP.  Returns (T, V), or None when g leaves that
+    span (only V = 0 is feasible), R is singular or HiGHS fails.
     """
     n, m = other.shape
     basis, coords = _span(other * rho)
     height = coords.shape[0] + 1
-    rhs = np.zeros((n, height))
-    rhs[:, :-1] = target @ basis
-    if _outside(target, rhs[:, :-1] @ basis.T):
+    # g @ basis = u diag(p) (v^T basis); the part of g outside the span,
+    # u diag(p) v^T (I - basis basis^T), has the norm of its last two
+    # factors because u has orthonormal columns.
+    inner = target.v.T @ basis
+    if _outside(target.p[:, None] * (target.v.T - inner @ basis.T), target):
         return None
+    rhs = np.zeros((n, height))
+    rhs[:, :-1] = (target.u * target.p) @ inner
     block = np.vstack([coords, rho[None, :]])
     if height == m:
         try:
@@ -164,24 +173,34 @@ def side_lp(
 
 
 def weight_lp(
-    a: np.ndarray, b: np.ndarray, gram: np.ndarray
+    a: np.ndarray, b: np.ndarray, target: GramSvd
 ) -> Optional[tuple[np.ndarray, float]]:
     """Best weights for fixed tables; returns (rho, V) or None.
 
     With a_n = U_A alpha_n and b_n = U_B beta_n over orthonormal bases
     of the tables' column spans, the correlation rows reduce to
-    sum_n rho_n alpha_n beta_n^T = V U_A^T g U_B.
+    sum_n rho_n alpha_n beta_n^T = V U_A^T g U_B, where
+    g = target.u diag(target.p) target.v^T.
     """
     m = a.shape[1]
     basis_a, alpha = _span(a)
     basis_b, beta = _span(b)
-    target = basis_a.T @ gram @ basis_b
-    if _outside(gram, basis_a @ target @ basis_b.T):
+    left = basis_a.T @ target.u * target.p
+    right = target.v.T @ basis_b
+    reduced = left @ right
+    # The part of g outside the two spans is (I - P_A) g + P_A g (I - P_B),
+    # two mutually orthogonal terms whose norms need only N x 3 and
+    # rank x N factors (P the projectors onto the spans).
+    outside = np.concatenate([
+        (target.u * target.p - basis_a @ left).ravel(),
+        (left @ (target.v.T - right @ basis_b.T)).ravel(),
+    ])
+    if _outside(outside, target):
         return None
     products = (alpha[:, None, :] * beta[None, :, :]).reshape(-1, m)
     rows = np.vstack([products, alpha, beta, np.ones((1, m))])
     v_column = np.zeros(rows.shape[0])
-    v_column[: target.size] = -target.ravel()
+    v_column[: reduced.size] = -reduced.ravel()
     b_eq = np.zeros(rows.shape[0])
     b_eq[-1] = 1.0
     bounds = np.zeros((m + 1, 2))
@@ -255,25 +274,26 @@ def seesaw(
     """
     if model.visibility >= 1.0:
         return model
-    gram = settings.gram
+    svd = settings.svd
+    svd_t = GramSvd(u=svd.v, v=svd.u, p=svd.p)
     n = settings.n_settings
     m = model.m_states
     a, b, rho, v = model.a_table, model.b_table, model.rho, model.visibility
     best = v
     stall = 0
     for _ in range(_MAX_ROUNDS):
-        step = side_lp(b, rho, gram)
+        step = side_lp(b, rho, svd)
         if step is not None and step[1] >= v - _STEP_SLACK:
             a, v = step
-        step = side_lp(a, rho, gram.T)
+        step = side_lp(a, rho, svd_t)
         if step is not None and step[1] >= v - _STEP_SLACK:
             b, v = step
         pool_a = np.column_stack([a, rng.choice((-1.0, 1.0), size=(n, _POOL_FACTOR * m))])
         pool_b = np.column_stack([b, rng.choice((-1.0, 1.0), size=(n, _POOL_FACTOR * m))])
-        step = weight_lp(pool_a, pool_b, gram)
+        step = weight_lp(pool_a, pool_b, svd)
         if step is None or np.sum(step[0] > _DEAD_WEIGHT) > m:
             pool_a, pool_b = a, b
-            step = weight_lp(a, b, gram)
+            step = weight_lp(a, b, svd)
         if step is not None and step[1] >= v - _STEP_SLACK:
             keep = step[0] > _DEAD_WEIGHT
             a, b, rho, v = pool_a[:, keep], pool_b[:, keep], step[0][keep], step[1]

@@ -37,12 +37,24 @@ def test_svd_orthonormal_triad():
     assert np.allclose(svd.p, [1.0, 1.0, 1.0])
 
 
+def _coplanar(n, rng):
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+
+
 def test_svd_reconstructs_gram():
     rng = np.random.default_rng(31)
-    settings = SettingsEnsemble.random(3, rng)
-    svd = gram_svd(settings)
-    rebuilt = svd.u @ np.diag(svd.p) @ svd.v.T
-    assert np.max(np.abs(rebuilt - settings.gram)) < 1e-12
+    cases = [(SettingsEnsemble.random(n, rng), min(n, 3)) for n in (1, 2, 3, 5, 200)]
+    same = np.tile(Direction.random(rng).as_array(), (6, 1))
+    cases.append((SettingsEnsemble.from_arrays(same, SettingsEnsemble.random(6, rng).b_matrix), 1))
+    cases.append((SettingsEnsemble.from_arrays(_coplanar(7, rng), _coplanar(7, rng)), 2))
+    for settings, rank in cases:
+        svd = gram_svd(settings)
+        rebuilt = svd.u @ np.diag(svd.p) @ svd.v.T
+        assert np.max(np.abs(rebuilt - settings.gram)) < 1e-12
+        expected = np.linalg.svd(settings.gram, compute_uv=False)[:3]
+        assert np.max(np.abs(svd.p[: expected.shape[0]] - expected)) < 1e-12
+        assert np.count_nonzero(svd.p) == rank
 
 
 def test_svd_rank_capped_at_three():

@@ -3,6 +3,7 @@ from scipy.optimize import linprog
 
 from lvt import (
     DiscreteLhvModel,
+    GramSvd,
     SettingsEnsemble,
     assemble_model,
     floor_normalized_weights,
@@ -45,10 +46,19 @@ def finished_model(n, m, seed):
     return settings, seesaw(start, settings, np.random.default_rng(seed))
 
 
+def table_targets(settings):
+    """The A step's and the B step's targets, as factors of gram and gram^T."""
+    svd = settings.svd
+    return svd, GramSvd(u=svd.v, v=svd.u, p=svd.p)
+
+
+def dense(target):
+    return (target.u * target.p) @ target.v.T
+
+
 def square_steps(settings, model):
     """The (fixed table, target) pairs whose reduced system R is square."""
-    gram = settings.gram
-    pairs = ((model.b_table, gram), (model.a_table, gram.T))
+    pairs = zip((model.b_table, model.a_table), table_targets(settings))
     return [
         (np.array(fixed), target) for fixed, target in pairs
         if np.linalg.matrix_rank(fixed) == model.m_states - 1
@@ -62,13 +72,14 @@ def test_table_lp_keeps_the_model_exact():
     assert [len(square_steps(*case)) for case in cases] == [0, 2, 1]
     for settings, start in cases:
         gram = settings.gram
-        for fixed, target in ((start.b_table, gram), (start.a_table, gram.T)):
+        pairs = zip((start.b_table, start.a_table), table_targets(settings), (gram, gram.T))
+        for fixed, target, expected in pairs:
             table, v = side_lp(np.array(fixed), np.array(start.rho), target)
             assert v >= start.visibility - 1e-9
             assert np.max(np.abs(table)) <= 1.0 + 1e-9
             assert np.max(np.abs(table @ start.rho)) < 1e-8
             correlations = (table * start.rho) @ fixed.T
-            assert np.max(np.abs(correlations - v * target)) < 1e-8
+            assert np.max(np.abs(correlations - v * expected)) < 1e-8
 
 
 def full_table_lp(other, rho, target):
@@ -101,11 +112,14 @@ def test_square_table_step_matches_highs(monkeypatch):
         steps = square_steps(settings, model)
         assert steps
         # A target scaled by 0.01 leaves max|R^-1 H| <= 1, so V caps at 1.
-        steps += [(fixed, 0.01 * target) for fixed, target in steps]
+        steps += [
+            (fixed, GramSvd(u=target.u, v=target.v, p=0.01 * target.p))
+            for fixed, target in steps
+        ]
         rho = np.array(model.rho)
         for fixed, target in steps:
             table, v = side_lp(fixed, rho, target)
-            expected_table, expected_v = full_table_lp(fixed, rho, target)
+            expected_table, expected_v = full_table_lp(fixed, rho, dense(target))
             assert abs(v - expected_v) < 1e-9
             assert np.max(np.abs(table - expected_table)) < 1e-8
             capped += v == 1.0
@@ -114,7 +128,7 @@ def test_square_table_step_matches_highs(monkeypatch):
 
 def test_weight_lp_keeps_the_model_exact():
     settings, start = span_model(3, 8, 19)
-    rho, v = weight_lp(np.array(start.a_table), np.array(start.b_table), settings.gram)
+    rho, v = weight_lp(np.array(start.a_table), np.array(start.b_table), settings.svd)
     assert v >= start.visibility - 1e-9
     assert np.min(rho) >= -1e-12
     assert abs(np.sum(rho) - 1.0) < 1e-9
