@@ -16,15 +16,19 @@ N > 3 and closes the climb's slow last stretch at any N.
 
 The climb state is a flat vector of 7M reals: the 6 raw frame vectors
 plus raw weights.  Each evaluation re-projects the constraints (floor
-simplex for rho, sqrt(rho)-orthogonality, biorthogonality via a 3x3
-solve) and reads off the certified visibility.  The relative scale of
-q versus t is balanced in closed form: scaling q by s multiplies the A
-table by s and the B table by 1/s, so the best achievable value at a
-given state is 1/(max|A'| max|B'|), capped at 1.  Most moves are
-rejected, so each restart scores a block of its next moves against its
-current state, and one stacked evaluation scores the blocks of all
-live restarts; the restart takes the first improving move, exactly as
-a one-move-per-step climb would.
+simplex for rho, sqrt(rho)-orthogonality, biorthogonality via an
+explicit 3x3 inverse) and reads off the certified visibility.  The
+relative scale of q versus t is balanced in closed form: scaling q by s
+multiplies the A table by s and the B table by 1/s, so the best
+achievable value at a given state is 1/(max|A'| max|B'|), capped at 1.
+Each restart draws its moves in bulk, 256 at a time, into a queue.
+Most moves are rejected, so each restart scores a block of its next
+queued moves against its current state, and one stacked evaluation
+scores the blocks of all live restarts; the restart takes the first
+improving move, exactly as a one-move-per-step climb would.  Once a
+restart's best reaches V = 1, it and every higher-index restart stop
+climbing, since none of them can then win; such calls count fewer
+steps.
 
 The exact objective is a min over table entries of equal magnitude at
 the optimum, so its ridges are too sharp for single-component moves:
@@ -97,6 +101,10 @@ _SHARPNESS_DOUBLINGS = 4
 _BLOCK_MOVES = 16
 _BLOCK_STATE_MOVES = 160
 _BLOCK_ENTRIES = 16384
+
+# Each restart draws its moves this many at a time: one bulk call per
+# stream costs about as much as two single draws.
+_DRAWS = 256
 
 # Soft-max exponents are clamped here: NumPy's exp runs about 20 times
 # slower on results that underflow and about 150 times slower on
@@ -188,12 +196,14 @@ def _state_tables(
     q = frame[:, :3]
     cross_t = frame[:, 3:] @ q.transpose(0, 2, 1)
     solved = np.ones(count, dtype=bool)
+    # An explicit 3x3 inverse, then a product, costs about half as much
+    # dispatch as a batched solve and agrees with it to round-off.
     try:
-        frame[:, 3:] = np.linalg.solve(cross_t, frame[:, 3:])
+        frame[:, 3:] = np.linalg.inv(cross_t) @ frame[:, 3:]
     except np.linalg.LinAlgError:
         for r in range(count):
             try:
-                frame[r, 3:] = np.linalg.solve(cross_t[r], frame[r, 3:])
+                frame[r, 3:] = np.linalg.inv(cross_t[r]) @ frame[r, 3:]
             except np.linalg.LinAlgError:
                 frame[r] = 0.0
                 solved[r] = False
@@ -295,17 +305,25 @@ def _climb(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """All restarts of one call, each scoring a block of moves at a time.
 
-    Each restart draws its moves from its own stream in the order a
-    stepwise climb (one move per step) would.  A block scores a
-    restart's next moves against its current state, stacked with every
-    other live restart's block in one kernel call, and takes the first
-    improving move; the moves before it count as rejections, and the
-    draws after it wait for the next block.  A block ends where the
-    stepwise climb would change how it scores or moves: at a sharpness
-    rung, at the rejection that halves the step factor, and at the
-    iteration budget.  So every restart takes exactly the steps of the
-    stepwise climb.  Returns (best value per restart, best state per
-    restart, steps taken).
+    Each restart draws its moves from its own stream, _DRAWS at a time
+    (the coordinates, then the step lengths), into a queue that a
+    stepwise climb (one move per step) would read in the same order.  A
+    block scores a restart's next moves against its current state,
+    stacked with every other live restart's block in one kernel call,
+    and takes the first improving move; the moves before it count as
+    rejections, and the moves after it stay queued.  A block ends where
+    the stepwise climb would change how it scores or moves: at a
+    sharpness rung, at the rejection that halves the step factor, and at
+    the iteration budget.
+
+    Once restart r's best reaches V = 1, restart r and every restart
+    with a higher index stop climbing: no value beats 1, and the winner's
+    tie rule picks the lowest index, so the winner is unchanged.  They
+    stop after the step at which r reached 1, as in a stepwise climb
+    whose restarts advance in lockstep; for that, no restart runs ahead
+    of a lower-index restart that is still climbing.  So every restart
+    takes exactly the steps of the stepwise climb.  Returns (best value
+    per restart, best state per restart, steps taken).
     """
     svd = gram_svd(settings)
     sqrt_p = np.sqrt(svd.p)
@@ -343,16 +361,28 @@ def _climb(
     rejections = [0] * count
     streak = [0] * count
     steps = [0] * count
-    queued: list = [[] for _ in range(count)]
+    # Steps each restart may take: the budget, or the step at which it
+    # or a lower-index restart reached V = 1.
+    limit = [config.inner_iters] * count
+    for r in range(count):
+        if best_v[r] >= 1.0:
+            limit[r:] = [0] * (count - r)
+            break
+    # Move queues: row r holds restart r's drawn, not yet taken moves in
+    # columns cursor[r] to filled[r].
+    queue_index = np.empty((count, _DRAWS + block), dtype=np.intp)
+    queue_step = np.empty((count, _DRAWS + block))
+    cursor = np.zeros(count, dtype=np.intp)
+    filled = np.zeros(count, dtype=np.intp)
     while True:
-        live = [
-            r for r in range(count)
-            if factor[r] >= _FACTOR_FLOOR and steps[r] < config.inner_iters
+        climbing = [
+            r for r in range(count) if factor[r] >= _FACTOR_FLOOR and steps[r] < limit[r]
         ]
-        if not live:
+        if not climbing:
             break
         sizes = []
-        for r in live:
+        ahead = math.inf  # most steps a lower-index restart can reach this block
+        for r in climbing:
             phase = steps[r] // phase_len
             if steps[r] > 0 and steps[r] % phase_len == 0 and phase < len(ladder):
                 beta[r] = ladder[phase]
@@ -362,24 +392,37 @@ def _climb(
                 rung_end = (phase + 1) * phase_len
             else:
                 rung_end = config.inner_iters
-            size = min(block, config.patience - rejections[r], rung_end - steps[r])
-            while len(queued[r]) < size:
-                queued[r].append((rngs[r].integers(dim), rngs[r].standard_normal()))
+            size = max(0, min(
+                block, config.patience - rejections[r], rung_end - steps[r],
+                limit[r] - steps[r], ahead - steps[r],
+            ))
+            ahead = min(ahead, steps[r] + size)
+            if filled[r] - cursor[r] < size:
+                rest = filled[r] - cursor[r]
+                queue_index[r, :rest] = queue_index[r, cursor[r] : filled[r]]
+                queue_step[r, :rest] = queue_step[r, cursor[r] : filled[r]]
+                queue_index[r, rest : rest + _DRAWS] = rngs[r].integers(dim, size=_DRAWS)
+                queue_step[r, rest : rest + _DRAWS] = rngs[r].standard_normal(_DRAWS)
+                cursor[r] = 0
+                filled[r] = rest + _DRAWS
             sizes.append(size)
-        owner = np.repeat(live, sizes)
-        moves = np.array([move for r, size in zip(live, sizes) for move in queued[r][:size]])
+        owner = np.repeat(climbing, sizes)
+        rows = np.arange(owner.shape[0])
+        column = cursor[owner] + rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
         candidate = x[owner]
-        candidate[np.arange(owner.shape[0]), moves[:, 0].astype(np.intp)] += (
-            config.step_scale * factor[owner] * moves[:, 1]
+        candidate[rows, queue_index[owner, column]] += (
+            config.step_scale * factor[owner] * queue_step[owner, column]
         )
         tables, solved = _state_tables(candidate, w_ab, m, config.rho_min)
         new_score, new_v = _scores(tables, beta[owner])
         improved = solved & (new_score > score[owner])
         start = 0
-        for r, size in zip(live, sizes):
-            hits = np.flatnonzero(improved[start : start + size])
-            taken = int(hits[0]) + 1 if hits.size else size
-            del queued[r][:taken]
+        reached = math.inf  # steps taken by the lower-index restarts
+        for r, size in zip(climbing, sizes):
+            usable = max(0, min(size, limit[r] - steps[r], reached - steps[r]))
+            hits = np.flatnonzero(improved[start : start + usable])
+            taken = int(hits[0]) + 1 if hits.size else usable
+            cursor[r] += taken
             steps[r] += taken
             evals += taken
             if hits.size:
@@ -391,17 +434,20 @@ def _climb(
                     best_x[r] = candidate[i]
                     if on_accept is not None:
                         on_accept(candidate[i].copy(), float(new_v[i]))
+                    if best_v[r] >= 1.0:
+                        limit[r:] = [min(cap, steps[r]) for cap in limit[r:]]
                 rejections[r] = 0
                 streak[r] = streak[r] + 1 if taken == 1 else 1
                 if streak[r] >= 10:
                     factor[r] = min(factor[r] * 2.0, _FACTOR_CAP)
                     streak[r] = 0
-            else:
+            elif taken:
                 streak[r] = 0
-                rejections[r] += size
+                rejections[r] += taken
                 if rejections[r] >= config.patience:
                     factor[r] *= 0.5
                     rejections[r] = 0
+            reached = min(reached, steps[r])
             start += size
     return best_v, best_x, evals
 
@@ -421,7 +467,10 @@ def inner_maximize(
     m_states states, and its visibility is the estimate's value, which
     is never below the climb's.
 
-    Restarts draw from independent streams and advance together.
+    Restarts draw from independent streams and advance together.  A
+    restart whose best reaches V = 1 stops, and so does every restart
+    with a higher index; the winner is the same as if they climbed on,
+    but estimate.iterations_used counts only the steps taken.
     on_accept sees every climb state that improves its restart's best,
     which state_to_model rebuilds, in order within each restart but not
     across restarts; the finish does not report through it.

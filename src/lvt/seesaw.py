@@ -28,8 +28,9 @@ table step has N*(rank+1) equality rows and the rho step at most
 each step through its rank-3 factors g = U diag(p) V^T, cached on the
 settings (lvt.construct): the reduced targets and the parts of g
 outside the spans come from N x 3 and 3 x rank products, so each step
-costs O(N*M) besides its solve.  Only the certification of the
-finished model forms the N x N Gram.
+costs O(N*M) besides its solve.  The least-squares corrections of the
+finished model run through the same factors, in O(N*M^2); only its
+final check, validate_model, forms the N x N Gram.
 
 A table step whose reduced system is square (rank+1 = M) is solved in
 closed form instead.  Its rows for setting j read R t_j = V h_j, with R
@@ -212,12 +213,24 @@ def weight_lp(
     return x[:-1], float(x[-1])
 
 
-def _correct(fixed: np.ndarray, table: np.ndarray, rho: np.ndarray, target: np.ndarray):
-    """Least-norm change of table toward table diag(rho) fixed^T = target, table rho = 0."""
+def _correct(
+    fixed: np.ndarray, table: np.ndarray, rho: np.ndarray, visibility: float, target: GramSvd
+) -> np.ndarray:
+    """Least-norm change of table toward table diag(rho) fixed^T = V g, table rho = 0.
+
+    g = target.u diag(target.p) target.v^T.  The (N+1) x N residual
+    [V g^T - fixed diag(rho) table^T; -(table rho)^T] factors as
+    left @ [target.u, table]^T, so the least-squares solve runs on the
+    3+M columns of left, O(N*M^2), and the N x N residual is never formed.
+    """
+    n, m = table.shape
     lhs = np.vstack([fixed * rho, rho[None, :]])
-    residual = np.vstack([(target - (table * rho) @ fixed.T).T, -(table @ rho)[None, :]])
-    delta, *_ = np.linalg.lstsq(lhs, residual, rcond=None)
-    return table + delta.T
+    left = np.zeros((n + 1, 3 + m))
+    left[:n, :3] = visibility * target.v * target.p
+    left[:n, 3:] = -(fixed * rho)
+    left[n, 3:] = -rho
+    coef, *_ = np.linalg.lstsq(lhs, left, rcond=None)
+    return table + np.column_stack([target.u, table]) @ coef.T
 
 
 def certified_model(
@@ -242,10 +255,11 @@ def certified_model(
     rho = rho[live] / np.sum(rho[live])
     a = a[:, live]
     b = b[:, live]
-    target = visibility * settings.gram
+    svd = settings.svd
+    svd_t = GramSvd(u=svd.v, v=svd.u, p=svd.p)
     for _ in range(_CORRECTION_PASSES):
-        a = _correct(b, a, rho, target)
-        b = _correct(a, b, rho, target.T)
+        a = _correct(b, a, rho, visibility, svd)
+        b = _correct(a, b, rho, visibility, svd_t)
     a = a - (a @ rho)[:, None]
     b = b - (b @ rho)[:, None]
     scale_a = max(1.0, float(np.max(np.abs(a))))

@@ -10,14 +10,17 @@ from lvt import (
     SearchConfig,
     SettingsEnsemble,
     VisibilityEstimate,
+    biorthogonalize,
     extrapolate,
     fit_power_law,
+    floor_normalized_weights,
     gram_svd,
     inner_maximize,
     max_visibility_lp,
     n_sweep,
     outer_minimize,
     perturb_settings,
+    project_out,
     state_to_model,
     validate_model,
 )
@@ -86,22 +89,36 @@ def test_inner_maximize_deterministic():
 
 
 def test_m4_model_keeps_zero_marginals():
-    # At M = 4 the t half of the winning climb state here had drifted
-    # along sqrt(rho) far enough that the model missed the 1e-8
-    # marginal bound (|B rho| = 1.3e-8) until state_to_model projected
-    # t off sqrt(rho) again.
-    settings = SettingsEnsemble.random(4, np.random.default_rng([1623668192, 4, 3]))
-    cfg = SearchConfig(
-        n_settings=4, m_states=4, inner_iters=4000, restarts=6,
-        seed=1623668192 * 100_000 + 304,
-    )
-    model, _ = inner_maximize(settings, cfg)
+    # At M = 4 the t half of a climb state leaves the objective unchanged
+    # (t is fixed by q), so it drifts until biorthogonalize amplifies
+    # round-off along sqrt(rho).  The winning state here carries that
+    # drift: rebuilt without a second projection, its marginal |B rho|
+    # misses the 1e-8 bound.  state_to_model projects t off sqrt(rho)
+    # again and keeps the marginals at zero.
+    settings = SettingsEnsemble.random(4, np.random.default_rng([98, 4]))
+    cfg = SearchConfig(n_settings=4, m_states=4, inner_iters=4000, restarts=1, seed=98)
+    _, best_x, _ = search_module._climb(settings, cfg)
+    x = best_x[0]
+    m = cfg.m_states
+    rho = floor_normalized_weights(x[6 * m :], cfg.rho_min)
+    srho = np.sqrt(rho)
+    q = project_out(x[: 3 * m].reshape(3, m), srho)
+    t = biorthogonalize(q, project_out(x[3 * m : 6 * m].reshape(3, m), srho))
+    svd = gram_svd(settings)
+    b_raw = (svd.v * np.sqrt(svd.p)) @ (t / srho)
+    assert np.max(np.abs(b_raw @ rho)) / np.max(np.abs(b_raw)) > 1e-8
+    model = state_to_model(x, settings, cfg)
     assert validate_model(model, settings, 1e-8).passed
     assert np.max(np.abs(model.b_table @ model.rho)) < 1e-12
 
 
-def stepwise_climb(settings, config):
-    """Reference climb: one move per restart per step, all restarts in lockstep."""
+def stepwise_climb(settings, config, retire=True):
+    """Reference climb: one move per restart per step, all restarts in lockstep.
+
+    Each restart reads its moves from a queue refilled from its stream
+    sm._DRAWS at a time.  With retire, a restart that reaches V = 1
+    stops, and so does every higher-index restart, after that step.
+    """
     sm = search_module
     svd = gram_svd(settings)
     sqrt_p = np.sqrt(svd.p)
@@ -119,6 +136,15 @@ def stepwise_climb(settings, config):
             tables, solved = sm._state_tables(x[r : r + 1], w_ab, m, config.rho_min)
             if solved[0] and sm._scores(tables, np.array([math.inf]))[0][0] > -np.inf:
                 break
+    queues = [[] for _ in range(count)]
+
+    def next_move(r):
+        if not queues[r]:
+            index = rngs[r].integers(dim, size=sm._DRAWS)
+            normal = rngs[r].standard_normal(sm._DRAWS)
+            queues[r] = list(zip(index, normal))
+        return queues[r].pop(0)
+
     current, _ = sm._state_tables(x, w_ab, m, config.rho_min)
     ladder = [sm._SHARPNESS_BASE * 2.0**k for k in range(sm._SHARPNESS_DOUBLINGS)]
     ladder.append(math.inf)
@@ -129,8 +155,11 @@ def stepwise_climb(settings, config):
     factor = [1.0] * count
     rejections = [0] * count
     streak = [0] * count
+    retired = count
+    if retire:
+        retired = next((r for r in range(count) if best_v[r] >= 1.0), count)
     for k in range(config.inner_iters):
-        live = [r for r in range(count) if factor[r] >= sm._FACTOR_FLOOR]
+        live = [r for r in range(retired) if factor[r] >= sm._FACTOR_FLOOR]
         if not live:
             break
         if k > 0 and k % phase_len == 0 and k // phase_len < len(ladder):
@@ -139,8 +168,8 @@ def stepwise_climb(settings, config):
         idx = np.empty(len(live), dtype=np.intp)
         step = np.empty(len(live))
         for i, r in enumerate(live):
-            idx[i] = rngs[r].integers(dim)
-            step[i] = config.step_scale * factor[r] * rngs[r].standard_normal()
+            idx[i], normal = next_move(r)
+            step[i] = config.step_scale * factor[r] * normal
         candidate = x[live]
         candidate[np.arange(len(live)), idx] += step
         tables, solved = sm._state_tables(candidate, w_ab, m, config.rho_min)
@@ -155,6 +184,8 @@ def stepwise_climb(settings, config):
                 if new_v[i] > best_v[r]:
                     best_v[r] = new_v[i]
                     best_x[r] = candidate[i]
+                    if retire and best_v[r] >= 1.0:
+                        retired = min(retired, r)
                 rejections[r] = 0
                 streak[r] += 1
                 if streak[r] >= 10:
@@ -169,16 +200,42 @@ def stepwise_climb(settings, config):
     return best_v, best_x, evals
 
 
-@pytest.mark.parametrize("n, m, restarts", [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3)])
+@pytest.mark.parametrize(
+    "n, m, restarts", [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3)]
+)
 def test_block_climb_matches_stepwise_reference(n, m, restarts):
     # patience 7 halves the step factor often enough that blocks end on
     # halvings, restarts run out early, and blocks meet the rung ends.
+    # At (1, 4, 3) restart 1 reaches V = 1, so restart 2 retires while
+    # restart 0 climbs on.
     settings = SettingsEnsemble.random(n, np.random.default_rng([107, n, m]))
     cfg = SearchConfig(
         n_settings=n, m_states=m, inner_iters=300, restarts=restarts, patience=7, seed=5
     )
     best_v, best_x, evals = search_module._climb(settings, cfg)
     ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
+    assert np.array_equal(best_v, ref_v)
+    assert np.array_equal(best_x, ref_x)
+    assert evals == ref_evals
+
+
+def test_retiring_at_full_visibility_keeps_the_winner():
+    # Restarts 1 and 2 reach V = 1 here; restart 0 does not.
+    settings = SettingsEnsemble.random(2, np.random.default_rng([109, 2, 0]))
+    cfg = SearchConfig(n_settings=2, inner_iters=600, restarts=3, seed=0)
+
+    def winner(values):
+        return min(range(cfg.restarts), key=lambda r: (-values[r], r))
+
+    full_v, full_x, full_evals = stepwise_climb(settings, cfg, retire=False)
+    ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
+    w = winner(full_v)
+    assert full_v[w] == 1.0
+    assert winner(ref_v) == w
+    assert ref_v[w] == full_v[w]
+    assert np.array_equal(ref_x[w], full_x[w])
+    assert ref_evals < full_evals
+    best_v, best_x, evals = search_module._climb(settings, cfg)
     assert np.array_equal(best_v, ref_v)
     assert np.array_equal(best_x, ref_x)
     assert evals == ref_evals

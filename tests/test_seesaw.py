@@ -178,6 +178,24 @@ def test_certified_model_rejects_what_it_cannot_certify():
     assert abs(rebuilt.visibility - start.visibility) < 1e-9
 
 
+def test_factored_correction_matches_the_dense_one():
+    # The dense form: the least-squares change of the table that removes
+    # the N x N correlation residual and the marginal residual.
+    for n, m, seed in ((4, 4, 31), (100, 4, 32), (100, 10, 33)):
+        settings, start = span_model(n, m, seed)
+        rng = np.random.default_rng(seed)
+        a = np.array(start.a_table) + 0.01 * rng.standard_normal((n, m))
+        b = np.array(start.b_table)
+        rho = np.array(start.rho)
+        target = start.visibility * settings.gram
+        lhs = np.vstack([b * rho, rho[None, :]])
+        residual = np.vstack([(target - (a * rho) @ b.T).T, -(a @ rho)[None, :]])
+        delta, *_ = np.linalg.lstsq(lhs, residual, rcond=None)
+        dense = a + delta.T
+        factored = seesaw_module._correct(b, a, rho, start.visibility, settings.svd)
+        assert np.max(np.abs(factored - dense)) < 1e-12
+
+
 def test_lp_rows_grow_with_n_not_n_squared(monkeypatch):
     n, m = 200, 4
     settings, start = span_model(n, m, 13)
