@@ -67,9 +67,9 @@ LONG_RUN_GATE_SECONDS = 60.0
 # Each restart's climb step costs a fixed amount (its share of a block's
 # kernel call and bookkeeping), a term per hidden state and a term per
 # table entry N * M.
-_CLIMB_SECONDS_PER_STEP = 9e-6
-_CLIMB_SECONDS_PER_STATE = 5e-7
-_CLIMB_SECONDS_PER_ENTRY = 1.3e-8
+_CLIMB_SECONDS_PER_STEP = 1.6e-5
+_CLIMB_SECONDS_PER_STATE = 3.5e-7
+_CLIMB_SECONDS_PER_ENTRY = 1.1e-8
 # The see-saw finish after each inner climb runs about 10 rounds of two
 # table steps and one weight step (8 at M = 4, up to 60 at M = 34).  A
 # square table step (M = 4, N >= 3) is one small linear solve; the other
@@ -77,12 +77,13 @@ _CLIMB_SECONDS_PER_ENTRY = 1.3e-8
 # a term in the size of the constraint matrix: N * M * min(N, M) for a
 # table step, (min(N, 3M) + 1)^2 * (3M + 1) for a weight step over the
 # current and 2M fresh states.  Certifying the finished model checks it
-# against the N x N Gram, a term in N^2 * M once per inner call.
+# against the N x N Gram, a term in N^2 * M once per inner call (its
+# least-squares corrections run through the Gram's factors, in O(N * M^2)).
 _FINISH_ROUNDS = 10
 _LP_SECONDS = 3e-3
 _TABLE_LP_SECONDS_PER_ENTRY = 2e-6
 _WEIGHT_LP_SECONDS_PER_ENTRY = 1.4e-6
-_CERTIFY_SECONDS_PER_ENTRY = 4e-8
+_CERTIFY_SECONDS_PER_ENTRY = 6e-9
 
 
 @dataclass(frozen=True)

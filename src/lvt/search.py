@@ -196,8 +196,10 @@ def _state_tables(
     q = frame[:, :3]
     cross_t = frame[:, 3:] @ q.transpose(0, 2, 1)
     solved = np.ones(count, dtype=bool)
-    # An explicit 3x3 inverse, then a product, costs about half as much
-    # dispatch as a batched solve and agrees with it to round-off.
+    # An explicit 3x3 inverse, then a product, is cheaper than a batched
+    # solve at the climb's batch sizes (22 against 64 us for 12 systems
+    # at M = 34, 104 against 129 us for 96 at M = 5) and agrees with it
+    # to round-off.
     try:
         frame[:, 3:] = np.linalg.inv(cross_t) @ frame[:, 3:]
     except np.linalg.LinAlgError:
@@ -381,7 +383,9 @@ def _climb(
         if not climbing:
             break
         sizes = []
-        ahead = math.inf  # most steps a lower-index restart can reach this block
+        # A restart's block stops at the steps a lower-index restart can
+        # reach in this block; moves past them could not be taken.
+        ahead = math.inf
         for r in climbing:
             phase = steps[r] // phase_len
             if steps[r] > 0 and steps[r] % phase_len == 0 and phase < len(ladder):
