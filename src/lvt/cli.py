@@ -64,12 +64,13 @@ _TAG_CLI_WEIGHTS = 7
 # sweeps on a 2-core machine; sweeps projected past the gate refuse to
 # start without --long.
 LONG_RUN_GATE_SECONDS = 60.0
-# Each restart's climb step costs a fixed amount (its share of a block's
-# kernel call and bookkeeping), a term per hidden state and a term per
-# table entry N * M.
-_CLIMB_SECONDS_PER_STEP = 1.6e-5
-_CLIMB_SECONDS_PER_STATE = 3.5e-7
-_CLIMB_SECONDS_PER_ENTRY = 1.1e-8
+# Each restart's scored climb step costs a fixed amount (its share of a
+# block's kernel call and bookkeeping), a term per hidden state and a
+# term per table entry N * M.  At M = 4 only the moves outside the inert
+# t half are scored, 4 in 7 of them.
+_CLIMB_SECONDS_PER_STEP = 1.5e-5
+_CLIMB_SECONDS_PER_STATE = 6.5e-7
+_CLIMB_SECONDS_PER_ENTRY = 1.4e-8
 # The see-saw finish after each inner climb runs about 10 rounds of two
 # table steps and one weight step (8 at M = 4, up to 60 at M = 34).  A
 # square table step (M = 4, N >= 3) is one small linear solve; the other
@@ -203,8 +204,9 @@ def projected_search_seconds(n_values, config: SearchConfig) -> float:
     total = 0.0
     m = config.m_states
     pool = 3 * m
+    scored = 4.0 / 7.0 if m == 4 else 1.0
     for n in n_values:
-        climb = (config.inner_iters + 1) * config.restarts * (
+        climb = (config.inner_iters + 1) * config.restarts * scored * (
             _CLIMB_SECONDS_PER_STEP + _CLIMB_SECONDS_PER_STATE * m
             + _CLIMB_SECONDS_PER_ENTRY * n * m
         )

@@ -30,6 +30,14 @@ restart's best reaches V = 1, it and every higher-index restart stop
 climbing, since none of them can then win; such calls count fewer
 steps.
 
+At M = 4 the t half of the state is inert.  After projection, q and t
+both lie in sqrt(rho)'s 3-dimensional complement, so biorthogonalizing
+makes t the dual basis of q there, t = (q q^T)^-1 q, whatever the t half
+holds.  A move in the t half (3M of the 7M coordinates) then changes
+the tables only by round-off, so the climb counts it as a rejected step
+without scoring it.  It still counts in the step budget and in
+iterations_used, as any rejection does.
+
 The exact objective is a min over table entries of equal magnitude at
 the optimum, so its ridges are too sharp for single-component moves:
 climbs that accept only exact improvements stall well below values
@@ -324,8 +332,14 @@ def _climb(
     stop after the step at which r reached 1, as in a stepwise climb
     whose restarts advance in lockstep; for that, no restart runs ahead
     of a lower-index restart that is still climbing.  So every restart
-    takes exactly the steps of the stepwise climb.  Returns (best value
-    per restart, best state per restart, steps taken).
+    takes exactly the steps of the stepwise climb.
+
+    At M = 4 a move in the t half (coordinates 3M to 6M) is inert, so it
+    is left out of the kernel call and taken as a rejection, as exact
+    arithmetic would take it: it counts as a step and toward the
+    patience, ends the run of consecutive acceptances, and leaves the
+    state, the score and the best as they are.  Returns (best value per
+    restart, best state per restart, steps taken).
     """
     svd = gram_svd(settings)
     sqrt_p = np.sqrt(svd.p)
@@ -413,13 +427,23 @@ def _climb(
         owner = np.repeat(climbing, sizes)
         rows = np.arange(owner.shape[0])
         column = cursor[owner] + rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        move = queue_index[owner, column]
         candidate = x[owner]
-        candidate[rows, queue_index[owner, column]] += (
-            config.step_scale * factor[owner] * queue_step[owner, column]
-        )
-        tables, solved = _state_tables(candidate, w_ab, m, config.rho_min)
-        new_score, new_v = _scores(tables, beta[owner])
-        improved = solved & (new_score > score[owner])
+        candidate[rows, move] += config.step_scale * factor[owner] * queue_step[owner, column]
+        total = rows.shape[0]
+        improved = np.zeros(total, dtype=bool)
+        new_score = np.empty(total)
+        new_v = np.empty(total)
+        scored = slice(None)
+        if m == 4:
+            # t-half moves leave the tables unchanged: rejections, unscored.
+            scored = (move < 3 * m) | (move >= 6 * m)
+        if m > 4 or scored.any():
+            scored_owner = owner[scored]
+            tables, solved = _state_tables(candidate[scored], w_ab, m, config.rho_min)
+            scores, values = _scores(tables, beta[scored_owner])
+            new_score[scored], new_v[scored] = scores, values
+            improved[scored] = solved & (scores > score[scored_owner])
         start = 0
         reached = math.inf  # steps taken by the lower-index restarts
         for r, size in zip(climbing, sizes):
