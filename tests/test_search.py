@@ -279,7 +279,6 @@ def test_m4_t_half_moves_leave_the_tables_unchanged(n):
         x = np.concatenate([rng.standard_normal((4, 6 * m)), rng.uniform(size=(4, m))], axis=1)
         base, solved = search_module._state_tables(x, w_ab, m, rho_min)
         assert solved.all()
-        base_condition = _cross_condition(x, m, rho_min)
         largest = 0.0
         for k in range(3 * m, 6 * m):
             moved = x.copy()
@@ -291,7 +290,9 @@ def test_m4_t_half_moves_leave_the_tables_unchanged(n):
             change = np.abs(tables - base).max(axis=(2, 3)) / np.abs(base).max(axis=(2, 3))
             change = change.max(axis=1)
             if m == 4:
-                condition = np.maximum(base_condition, _cross_condition(moved, m, rho_min))
+                condition = np.maximum(
+                    _cross_condition(x, m, rho_min), _cross_condition(moved, m, rho_min)
+                )
                 assert np.all(change[condition < 1e3] < 1e-12)
                 assert np.all(change < 1e-15 * condition)
             largest = max(largest, float(change.max()))
