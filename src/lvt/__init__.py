@@ -21,20 +21,15 @@ from .analytic import (
 )
 from .construct import (
     DEFAULT_RHO_MIN,
-    AuxiliaryFrame,
     DiscreteLhvModel,
     GramSvd,
     SettingsEnsemble,
     ValidationReport,
     assemble_model,
-    biorthogonalize,
     floor_normalized_weights,
     gram_svd,
     make_frame,
-    project_out,
-    raw_tables,
     validate_model,
-    visibility_from_tables,
 )
 from .core import (
     Direction,
@@ -84,7 +79,6 @@ from .search import (
 
 __all__ = [
     "__version__",
-    "AuxiliaryFrame",
     "BellConfiguration",
     "BellThresholdResult",
     "BEST_PRIOR_GENERAL_SETTINGS_BOUND",
@@ -112,7 +106,6 @@ __all__ = [
     "assemble_model",
     "bell_lhs",
     "bell_threshold_numeric",
-    "biorthogonalize",
     "chsh_angle_lhs",
     "chsh_lhs",
     "chsh_threshold_numeric",
@@ -129,10 +122,8 @@ __all__ = [
     "n_sweep",
     "outer_minimize",
     "perturb_settings",
-    "project_out",
     "quantum_joint",
     "quantum_marginal",
-    "raw_tables",
     "reconstruct_joint",
     "response",
     "sphere_quadrature",
@@ -140,5 +131,4 @@ __all__ = [
     "validate_model",
     "validity_flip_visibility",
     "validity_scan",
-    "visibility_from_tables",
 ]

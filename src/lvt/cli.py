@@ -168,9 +168,7 @@ def load_settings(path: str) -> SettingsEnsemble:
         if np.any(norms < 1e-12):
             raise InvalidInputError(f'"{key}" contains a zero vector')
         sides[key] = arr / norms[:, None]
-    if sides["a"].shape[0] != sides["b"].shape[0]:
-        raise InvalidInputError("sides must list the same number of directions")
-    return SettingsEnsemble.from_arrays(sides["a"], sides["b"])
+    return SettingsEnsemble(sides["a"], sides["b"])
 
 
 def parse_n_list(text: str) -> list:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Direction
+from .core import NORM_SLACK, Direction
 from .errors import ConstructionFailureError, InvalidInputError
 
 # Weight floor applied before the 1/sqrt(rho) division; prevents
@@ -51,54 +51,80 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SettingsEnsemble:
-    """N measurement directions per side plus their Gram matrix."""
+def unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each row of an (N, 3) array over its norm.
 
-    a_side: tuple
-    b_side: tuple
+    The norm is one dot product per row, as np.linalg.norm takes it for a
+    single vector; a sum of squares along the rows can round differently.
+    """
+    return vectors / np.sqrt(vectors[:, None, :] @ vectors[:, :, None])[:, 0]
+
+
+def _checked_side(side, name: str) -> np.ndarray:
+    """An (N, 3) array of unit rows, each checked and renormalized as Direction does."""
+    if not isinstance(side, np.ndarray):
+        side = [d.as_array() if isinstance(d, Direction) else d for d in side]
+    vectors = np.array(side, dtype=float)
+    if vectors.ndim != 2 or vectors.shape[1] != 3 or vectors.shape[0] == 0:
+        raise InvalidInputError(
+            f"{name}-side directions must form a nonempty (N, 3) array, got shape {vectors.shape}"
+        )
+    x, y, z = vectors.T
+    norm = np.sqrt(x * x + y * y + z * z)
+    off = ~(np.abs(norm - 1.0) <= NORM_SLACK)
+    if off.any():
+        raise InvalidInputError(
+            f"{name}-side direction {np.argmax(off)} has norm {float(norm[off][0])!r}, "
+            f"not within {NORM_SLACK} of 1"
+        )
+    return _readonly(vectors / norm[:, None])
+
+
+@dataclass(frozen=True, eq=False)
+class SettingsEnsemble:
+    """N measurement directions per side, held as read-only (N, 3) arrays.
+
+    Each side may be an (N, 3) array or a sequence of Directions or
+    triples; every row must have norm within NORM_SLACK of 1 and is
+    renormalized as Direction renormalizes.  An ensemble equals only
+    itself and hashes by identity.
+    """
+
+    a_matrix: np.ndarray
+    b_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        a = tuple(d if isinstance(d, Direction) else Direction.from_array(d) for d in self.a_side)
-        b = tuple(d if isinstance(d, Direction) else Direction.from_array(d) for d in self.b_side)
-        if len(a) == 0 or len(a) != len(b):
+        a = _checked_side(self.a_matrix, "a")
+        b = _checked_side(self.b_matrix, "b")
+        if a.shape[0] != b.shape[0]:
             raise InvalidInputError(
-                f"need equal nonzero setting counts per side, got {len(a)} and {len(b)}"
+                f"need equal setting counts per side, got {a.shape[0]} and {b.shape[0]}"
             )
-        object.__setattr__(self, "a_side", a)
-        object.__setattr__(self, "b_side", b)
+        object.__setattr__(self, "a_matrix", a)
+        object.__setattr__(self, "b_matrix", b)
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "SettingsEnsemble":
+        """Uniform directions, each side drawn in one call, the a side first."""
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise InvalidInputError(f"setting count must be an integer >= 1, got {n!r}")
         return cls(
-            tuple(Direction.random(rng) for _ in range(n)),
-            tuple(Direction.random(rng) for _ in range(n)),
+            unit_rows(rng.standard_normal((n, 3))), unit_rows(rng.standard_normal((n, 3)))
         )
-
-    @classmethod
-    def from_arrays(cls, a_vectors, b_vectors) -> "SettingsEnsemble":
-        a = np.asarray(a_vectors, dtype=float)
-        b = np.asarray(b_vectors, dtype=float)
-        for name, arr in (("a", a), ("b", b)):
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise InvalidInputError(
-                    f"{name}-side vectors must form an (N, 3) array, got shape {arr.shape}"
-                )
-        return cls(tuple(map(Direction.from_array, a)), tuple(map(Direction.from_array, b)))
 
     @property
     def n_settings(self) -> int:
-        return len(self.a_side)
+        return self.a_matrix.shape[0]
 
     @cached_property
-    def a_matrix(self) -> np.ndarray:
-        return _readonly(np.array([d.as_array() for d in self.a_side]))
+    def a_side(self) -> tuple:
+        """The a side as Directions; each renormalizes its row, which can move it by an ulp."""
+        return tuple(Direction(*row) for row in self.a_matrix)
 
     @cached_property
-    def b_matrix(self) -> np.ndarray:
-        return _readonly(np.array([d.as_array() for d in self.b_side]))
+    def b_side(self) -> tuple:
+        """The b side as Directions; each renormalizes its row, which can move it by an ulp."""
+        return tuple(Direction(*row) for row in self.b_matrix)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -212,14 +238,14 @@ class AuxiliaryFrame:
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "rho", _readonly(rho))
 
-    @property
-    def m_states(self) -> int:
-        return self.q.shape[1]
-
 
 def project_out(rows: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Remove the component along a unit vector from each row."""
-    return rows - np.outer(rows @ unit, unit)
+    """Remove the component along a unit vector from each row.
+
+    rows is (..., K, M) and unit is (..., M); leading axes pair up, so a
+    stack of row blocks can each lose its own unit vector.
+    """
+    return rows - (rows @ unit[..., :, None]) * unit[..., None, :]
 
 
 def biorthogonalize(q: np.ndarray, t_raw: np.ndarray) -> np.ndarray:
@@ -279,19 +305,22 @@ def floor_normalized_weights(raw: Sequence[float], rho_min: float = DEFAULT_RHO_
     """Map arbitrary reals onto the weight simplex with a floor.
 
     Negative entries clip to zero; the positive mass is scaled into the
-    budget left over after granting every state its floor.
+    budget left over after granting every state its floor.  A row with
+    no finite positive mass gets equal weights.  Works along the last
+    axis, so a stack of rows maps row by row.
     """
     raw_arr = np.asarray(raw, dtype=float)
-    if raw_arr.ndim != 1 or raw_arr.shape[0] < 1:
-        raise InvalidInputError(f"weights must form a 1-d array, got shape {raw_arr.shape}")
-    m = raw_arr.shape[0]
+    if raw_arr.ndim < 1 or raw_arr.shape[-1] < 1:
+        raise InvalidInputError(f"weights must form a nonempty array, got shape {raw_arr.shape}")
+    m = raw_arr.shape[-1]
     if not (0.0 < rho_min <= 1.0 / m):
         raise InvalidInputError(f"rho_min must lie in (0, 1/M], got {rho_min!r}")
-    w = np.clip(raw_arr, 0.0, None)
-    total = float(np.sum(w))
-    if total <= 0.0 or not math.isfinite(total):
-        w = np.ones(m)
-        total = float(m)
+    w = np.maximum(raw_arr, 0.0)
+    total = w.sum(axis=-1, keepdims=True)
+    flat = ~((total > 0.0) & (total < np.inf))
+    if flat.any():
+        w[np.broadcast_to(flat, w.shape)] = 1.0
+        total[flat] = float(m)
     return rho_min + (1.0 - m * rho_min) * w / total
 
 
@@ -338,32 +367,21 @@ class DiscreteLhvModel:
         return np.einsum("n,jn,kn->jk", self.rho, self.a_table, self.b_table)
 
 
-def raw_tables(svd: GramSvd, frame: AuxiliaryFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Unbounded tables A', B' with sum_n rho_n A'B' = gram exactly."""
+def assemble_model(settings: SettingsEnsemble, frame: AuxiliaryFrame) -> DiscreteLhvModel:
+    """Build the bounded model this frame certifies for these settings.
+
+    The raw tables A', B' have sum_n rho_n A'B' = gram exactly; their
+    largest absolute entry is 1/sqrt(V), with V capped at 1.  A zero
+    Gram matrix (all pairs orthogonal) yields zero tables and
+    visibility 1: zero correlations are representable at any damping.
+    """
+    svd = gram_svd(settings)
     inv_srho = 1.0 / np.sqrt(frame.rho)
     sqrt_p = np.sqrt(svd.p)
     a_raw = (svd.u * sqrt_p) @ frame.q * inv_srho
     b_raw = (svd.v * sqrt_p) @ frame.t * inv_srho
-    return a_raw, b_raw
-
-
-def visibility_from_tables(a_raw: np.ndarray, b_raw: np.ndarray) -> float:
-    """1/sqrt(V) = largest absolute entry, capped so that V <= 1."""
     max_entry = max(float(np.max(np.abs(a_raw))), float(np.max(np.abs(b_raw))))
-    if max_entry <= 1.0:
-        return 1.0
-    return (1.0 / max_entry) ** 2
-
-
-def assemble_model(settings: SettingsEnsemble, frame: AuxiliaryFrame) -> DiscreteLhvModel:
-    """Build the bounded model this frame certifies for these settings.
-
-    A zero Gram matrix (all pairs orthogonal) yields zero tables and
-    visibility 1: zero correlations are representable at any damping.
-    """
-    svd = gram_svd(settings)
-    a_raw, b_raw = raw_tables(svd, frame)
-    vis = visibility_from_tables(a_raw, b_raw)
+    vis = 1.0 if max_entry <= 1.0 else (1.0 / max_entry) ** 2
     root = math.sqrt(vis)
     return DiscreteLhvModel(
         rho=frame.rho,

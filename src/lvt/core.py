@@ -76,15 +76,6 @@ class Direction:
             raise InvalidInputError(f"direction needs 3 components, got shape {arr.shape}")
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "Direction":
-        """Uniform direction: three standard normals, normalized."""
-        while True:
-            vec = rng.standard_normal(3)
-            norm = float(np.linalg.norm(vec))
-            if norm > 1e-12:
-                return cls(*(vec / norm))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 

@@ -68,8 +68,8 @@ from .construct import (
     floor_normalized_weights,
     gram_svd,
     project_out,
+    unit_rows,
 )
-from .core import Direction
 from .errors import ConstructionFailureError, InvalidInputError, LvtError
 from .estimate import VisibilityEstimate
 from .seesaw import seesaw
@@ -191,16 +191,8 @@ def _state_tables(
     zero tables.
     """
     count = x.shape[0]
-    # floor_normalized_weights, row by row.
-    w = np.maximum(x[:, 6 * m :], 0.0)
-    total = w.sum(axis=1)
-    flat = ~((total > 0.0) & (total < np.inf))
-    if flat.any():
-        w[flat] = 1.0
-        total[flat] = float(m)
-    srho = np.sqrt(rho_min + (1.0 - m * rho_min) * w / total[:, None])[:, None, :]
-    frame_raw = x[:, : 6 * m].reshape(count, 6, m)
-    frame = frame_raw - (frame_raw @ srho.transpose(0, 2, 1)) * srho
+    srho = np.sqrt(floor_normalized_weights(x[:, 6 * m :], rho_min))
+    frame = project_out(x[:, : 6 * m].reshape(count, 6, m), srho)
     q = frame[:, :3]
     cross_t = frame[:, 3:] @ q.transpose(0, 2, 1)
     solved = np.ones(count, dtype=bool)
@@ -217,7 +209,7 @@ def _state_tables(
             except np.linalg.LinAlgError:
                 frame[r] = 0.0
                 solved[r] = False
-    frame /= srho
+    frame /= srho[:, None, :]
     return w_ab @ frame.reshape(count, 2, 3, m), solved
 
 
@@ -523,19 +515,12 @@ def inner_maximize(
     return model, estimate
 
 
-def perturb_settings(
-    settings: SettingsEnsemble, rng: np.random.Generator, sigma: float = _SETTINGS_JITTER
-) -> SettingsEnsemble:
-    """Small-angle jitter of every direction on both sides."""
+def perturb_settings(settings: SettingsEnsemble, rng: np.random.Generator) -> SettingsEnsemble:
+    """Small-angle jitter of every direction on both sides, a side per draw."""
     def jitter(side):
-        out = []
-        for d in side:
-            vec = d.as_array() + sigma * rng.standard_normal(3)
-            norm = float(np.linalg.norm(vec))
-            out.append(d if norm <= 1e-12 else Direction(*(vec / norm)))
-        return tuple(out)
+        return unit_rows(side + _SETTINGS_JITTER * rng.standard_normal(side.shape))
 
-    return SettingsEnsemble(jitter(settings.a_side), jitter(settings.b_side))
+    return SettingsEnsemble(jitter(settings.a_matrix), jitter(settings.b_matrix))
 
 
 def outer_minimize(

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from lvt import (
-    Direction,
     SearchConfig,
     SettingsEnsemble,
     analytic_threshold,
@@ -44,6 +43,8 @@ from lvt import (
     validity_flip_visibility,
 )
 from lvt.cli import main
+
+from directions import random_direction
 
 ACCEPTANCE_SEED = 20260819
 
@@ -89,8 +90,8 @@ def test_criterion_2_reconstruction_identity():
         model = model_for_visibility(v)
         tuples = []
         for _ in range(50):
-            a = Direction.random(rng)
-            b = Direction.random(rng)
+            a = random_direction(rng)
+            b = random_direction(rng)
             m = int(rng.choice((-1, 1)))
             m2 = int(rng.choice((-1, 1)))
             tuples.append((a, b, m, m2))
@@ -125,8 +126,8 @@ def test_criterion_3_legendre_orthogonality():
     rng = np.random.default_rng(ACCEPTANCE_SEED + 3)
     worst = 0.0
     for _ in range(20):
-        u = Direction.random(rng)
-        v = Direction.random(rng)
+        u = random_direction(rng)
+        v = random_direction(rng)
         for j in range(5):
             for k in range(5):
                 def product(d):

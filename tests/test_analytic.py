@@ -17,6 +17,8 @@ from lvt import (
     validity_scan,
 )
 
+from directions import random_direction
+
 
 def test_threshold_is_exactly_one_third():
     assert analytic_threshold() == 1.0 / 3.0
@@ -54,8 +56,8 @@ def test_response_is_probability_in_range():
     model = model_for_visibility(0.2)
     rng = np.random.default_rng(5)
     for _ in range(30):
-        n = Direction.random(rng)
-        lam = Direction.random(rng)
+        n = random_direction(rng)
+        lam = random_direction(rng)
         for m in (1, -1):
             for side in ("a", "b"):
                 p = response(model, m, n, lam, side=side)
@@ -65,8 +67,8 @@ def test_response_is_probability_in_range():
 def test_response_sides_related_by_outcome_flip():
     model = model_for_visibility(0.25)
     rng = np.random.default_rng(9)
-    n = Direction.random(rng)
-    lam = Direction.random(rng)
+    n = random_direction(rng)
+    lam = random_direction(rng)
     assert abs(response(model, 1, n, lam, side="b") - response(model, -1, n, lam, side="a")) < 1e-15
 
 
@@ -81,8 +83,8 @@ def test_reconstruction_matches_quantum_joint():
     for v in (0.0, 0.1, 1.0 / 3.0):
         model = model_for_visibility(v)
         for _ in range(50):
-            a = Direction.random(rng)
-            b = Direction.random(rng)
+            a = random_direction(rng)
+            b = random_direction(rng)
             m = int(rng.choice([1, -1]))
             mp = int(rng.choice([1, -1]))
             lhs = reconstruct_joint(model, m, mp, a, b)
@@ -99,8 +101,8 @@ def test_reconstruction_value_at_threshold():
 def test_reconstruction_agrees_with_quadrature():
     model = model_for_visibility(0.1)
     rng = np.random.default_rng(23)
-    a = Direction.random(rng)
-    b = Direction.random(rng)
+    a = random_direction(rng)
+    b = random_direction(rng)
     av = a.as_array()
     bv = b.as_array()
     c1 = model.coefficients[1]

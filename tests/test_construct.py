@@ -10,9 +10,10 @@ from lvt import (
     floor_normalized_weights,
     gram_svd,
     make_frame,
-    raw_tables,
     validate_model,
 )
+
+from directions import random_direction
 
 
 def _triad():
@@ -45,9 +46,9 @@ def _coplanar(n, rng):
 def test_svd_reconstructs_gram():
     rng = np.random.default_rng(31)
     cases = [(SettingsEnsemble.random(n, rng), min(n, 3)) for n in (1, 2, 3, 5, 200)]
-    same = np.tile(Direction.random(rng).as_array(), (6, 1))
-    cases.append((SettingsEnsemble.from_arrays(same, SettingsEnsemble.random(6, rng).b_matrix), 1))
-    cases.append((SettingsEnsemble.from_arrays(_coplanar(7, rng), _coplanar(7, rng)), 2))
+    same = np.tile(random_direction(rng).as_array(), (6, 1))
+    cases.append((SettingsEnsemble(same, SettingsEnsemble.random(6, rng).b_matrix), 1))
+    cases.append((SettingsEnsemble(_coplanar(7, rng), _coplanar(7, rng)), 2))
     for settings, rank in cases:
         svd = gram_svd(settings)
         rebuilt = svd.u @ np.diag(svd.p) @ svd.v.T
@@ -143,11 +144,11 @@ def test_frame_scale_transfer_keeps_raw_product():
     rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 4), 1e-6)
     frame = make_frame(rho, seed=2)
     scaled = type(frame)(q=2.0 * frame.q, t=frame.t / 2.0, rho=frame.rho)
-    svd = gram_svd(settings)
-    one_a, one_b = raw_tables(svd, frame)
-    two_a, two_b = raw_tables(svd, scaled)
-    product_one = np.einsum("n,jn,kn->jk", rho, one_a, one_b)
-    product_two = np.einsum("n,jn,kn->jk", rho, two_a, two_b)
+    # The raw tables are the assembled ones over sqrt(V).
+    one = assemble_model(settings, frame)
+    two = assemble_model(settings, scaled)
+    product_one = np.einsum("n,jn,kn->jk", rho, one.a_table, one.b_table) / one.visibility
+    product_two = np.einsum("n,jn,kn->jk", rho, two.a_table, two.b_table) / two.visibility
     assert np.max(np.abs(product_one - product_two)) < 1e-12
     assert np.max(np.abs(product_one - settings.gram)) < 1e-12
 
@@ -189,3 +190,18 @@ def test_settings_sides_must_match_length():
     x = Direction(1.0, 0.0, 0.0)
     with pytest.raises(InvalidInputError):
         SettingsEnsemble((z, x), (z,))
+    # Array sides: each row is checked as Direction checks its components.
+    unit = np.eye(3)
+    off_norm = unit.copy()
+    off_norm[1] *= 1.0 + 1e-6
+    short = unit.copy()
+    short[2] *= 1.0 - 1e-6
+    nan = unit.copy()
+    nan[0, 1] = np.nan
+    for bad in (np.ones((3, 2)), unit[0], unit[None], nan, off_norm, short, np.empty((0, 3)), ()):
+        with pytest.raises(InvalidInputError):
+            SettingsEnsemble(bad, unit)
+        with pytest.raises(InvalidInputError):
+            SettingsEnsemble(unit, bad)
+    with pytest.raises(InvalidInputError):
+        SettingsEnsemble(unit, unit[:2])

@@ -6,11 +6,14 @@ import pytest
 from lvt import (
     Direction,
     InvalidInputError,
+    SettingsEnsemble,
     legendre,
     quantum_joint,
     quantum_marginal,
     sphere_quadrature,
 )
+
+from directions import random_direction
 
 
 def test_direction_renormalizes_small_drift():
@@ -26,12 +29,11 @@ def test_direction_rejects_non_unit():
 
 
 def test_direction_random_is_unit_and_seeded():
-    rng = np.random.default_rng(7)
-    samples = [Direction.random(rng) for _ in range(50)]
-    for d in samples:
-        assert abs(np.linalg.norm(d.as_array()) - 1.0) < 1e-12
-    again = [Direction.random(np.random.default_rng(7)) for _ in range(1)][0]
-    assert np.allclose(again.as_array(), samples[0].as_array())
+    samples = SettingsEnsemble.random(50, np.random.default_rng(7))
+    for side in (samples.a_matrix, samples.b_matrix):
+        assert np.all(np.abs(np.linalg.norm(side, axis=1) - 1.0) < 1e-12)
+    again = SettingsEnsemble.random(1, np.random.default_rng(7))
+    assert np.allclose(again.a_matrix[0], samples.a_matrix[0])
 
 
 def test_joint_perfect_anticorrelation_vanishes():
@@ -47,8 +49,8 @@ def test_joint_opposite_outcomes_at_third_visibility():
 def test_joint_outcomes_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        a = Direction.random(rng)
-        b = Direction.random(rng)
+        a = random_direction(rng)
+        b = random_direction(rng)
         v = rng.uniform(0.0, 1.0)
         total = sum(quantum_joint(m, mp, a, b, v) for m in (1, -1) for mp in (1, -1))
         assert abs(total - 1.0) < 1e-14
@@ -99,8 +101,8 @@ def test_quadrature_normalization():
 
 def test_quadrature_product_identity():
     rng = np.random.default_rng(11)
-    u = Direction.random(rng).as_array()
-    v = Direction.random(rng).as_array()
+    u = random_direction(rng).as_array()
+    v = random_direction(rng).as_array()
 
     def product(d):
         x = d.as_array()

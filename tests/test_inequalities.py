@@ -18,6 +18,8 @@ from lvt import (
     chsh_threshold_numeric,
 )
 
+from directions import random_direction
+
 
 def test_three_setting_closed_form_value():
     cfg = BellConfiguration(
@@ -54,10 +56,10 @@ def test_three_setting_threshold():
 def test_four_setting_closed_form_value():
     rng = np.random.default_rng(7)
     cfg = ChshConfiguration(
-        a=Direction.random(rng),
-        a2=Direction.random(rng),
-        b=Direction.random(rng),
-        b2=Direction.random(rng),
+        a=random_direction(rng),
+        a2=random_direction(rng),
+        b=random_direction(rng),
+        b2=random_direction(rng),
     )
     av, a2v, bv, b2v = (d.as_array() for d in (cfg.a, cfg.a2, cfg.b, cfg.b2))
     first = av + b2v - bv
@@ -78,8 +80,8 @@ def test_four_setting_angle_form_peaks_at_right_angle():
 def test_aligned_configuration_matches_angle_form():
     rng = np.random.default_rng(19)
     for _ in range(5):
-        b = Direction.random(rng)
-        b2 = Direction.random(rng)
+        b = random_direction(rng)
+        b2 = random_direction(rng)
         phi = math.acos(max(-1.0, min(1.0, float(b.as_array() @ b2.as_array()))))
         if phi < 0.1 or phi > math.pi - 0.1:
             continue

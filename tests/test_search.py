@@ -10,7 +10,6 @@ from lvt import (
     SearchConfig,
     SettingsEnsemble,
     VisibilityEstimate,
-    biorthogonalize,
     extrapolate,
     fit_power_law,
     floor_normalized_weights,
@@ -20,10 +19,12 @@ from lvt import (
     n_sweep,
     outer_minimize,
     perturb_settings,
-    project_out,
     state_to_model,
     validate_model,
 )
+from lvt.construct import biorthogonalize, project_out
+
+from directions import random_direction
 
 
 def test_config_validation():
@@ -353,9 +354,38 @@ def test_perturbed_settings_stay_unit():
     rng = np.random.default_rng(101)
     settings = SettingsEnsemble.random(4, rng)
     jittered = perturb_settings(settings, rng)
-    for side in (jittered.a_side, jittered.b_side):
-        for d in side:
-            assert abs(np.linalg.norm(d.as_array()) - 1.0) < 1e-12
+    for side in (jittered.a_matrix, jittered.b_matrix):
+        assert np.all(np.abs(np.linalg.norm(side, axis=1) - 1.0) < 1e-12)
+
+
+def reference_jitter(side, rng):
+    """perturb_settings on one side, one Direction at a time."""
+    out = []
+    for d in side:
+        vec = d.as_array() + search_module._SETTINGS_JITTER * rng.standard_normal(3)
+        out.append(Direction(*(vec / np.linalg.norm(vec))))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 100, 1000])
+def test_array_settings_match_directions_drawn_one_at_a_time(n):
+    def same_rows(settings, sides):
+        return all(
+            np.array_equal(matrix, [d.as_array() for d in side])
+            for matrix, side in zip((settings.a_matrix, settings.b_matrix), sides)
+        )
+
+    for seed in range(4):
+        rng = np.random.default_rng([127, n, seed])
+        ref_rng = np.random.default_rng([127, n, seed])
+        settings = SettingsEnsemble.random(n, rng)
+        sides = [[random_direction(ref_rng) for _ in range(n)] for _ in "ab"]
+        assert same_rows(settings, sides)
+        for _ in range(2):
+            settings = perturb_settings(settings, rng)
+            sides = [reference_jitter(side, ref_rng) for side in sides]
+            assert same_rows(settings, sides)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_power_law_fit_recovers_exact_model():

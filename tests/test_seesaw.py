@@ -158,7 +158,7 @@ def test_finish_is_deterministic_per_stream():
 
 def test_full_visibility_model_is_returned_unchanged():
     z = np.array([[0.0, 0.0, 1.0]])
-    settings = SettingsEnsemble.from_arrays(z, z)
+    settings = SettingsEnsemble(z, z)
     model = DiscreteLhvModel(
         rho=np.full(4, 0.25),
         a_table=np.array([[1.0, -1.0, 1.0, -1.0]]),
