@@ -47,8 +47,6 @@ from .errors import (
 )
 from .estimate import VisibilityEstimate
 from .inequalities import (
-    BEST_PRIOR_GENERAL_SETTINGS_BOUND,
-    PRIOR_GENERAL_SETTINGS_BOUNDS,
     BellConfiguration,
     BellThresholdResult,
     ChshConfiguration,
@@ -81,7 +79,6 @@ __all__ = [
     "__version__",
     "BellConfiguration",
     "BellThresholdResult",
-    "BEST_PRIOR_GENERAL_SETTINGS_BOUND",
     "ChshConfiguration",
     "ChshThresholdResult",
     "ConstructionFailureError",
@@ -94,7 +91,6 @@ __all__ = [
     "LegendreLhvModel",
     "LvtError",
     "MAX_ORACLE_SETTINGS",
-    "PRIOR_GENERAL_SETTINGS_BOUNDS",
     "PowerLawFit",
     "ResourceLimitError",
     "SearchConfig",

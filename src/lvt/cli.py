@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .errors import (
 from .estimate import VisibilityEstimate
 from .inequalities import bell_threshold_numeric, chsh_threshold_numeric
 from .oracle import max_visibility_lp
-from .search import SearchConfig, extrapolate, n_sweep
+from .search import SearchConfig, extrapolate, n_sweep, sweep_work
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,31 +60,13 @@ _SEED_MASK = (1 << 64) - 1
 _TAG_CLI_SETTINGS = 6
 _TAG_CLI_WEIGHTS = 7
 
-# Wall-time projection constants, fitted to timed climbs and traced
-# sweeps on a 2-core machine; sweeps projected past the gate refuse to
-# start without --long.
-LONG_RUN_GATE_SECONDS = 60.0
-# Each restart's scored climb step costs a fixed amount (its share of a
-# block's kernel call and bookkeeping), a term per hidden state and a
-# term per table entry N * M.  At M = 4 only the moves outside the inert
-# t half are scored, 4 in 7 of them.
-_CLIMB_SECONDS_PER_STEP = 1.5e-5
-_CLIMB_SECONDS_PER_STATE = 6.5e-7
-_CLIMB_SECONDS_PER_ENTRY = 1.4e-8
-# The see-saw finish after each inner climb runs about 10 rounds of two
-# table steps and one weight step (8 at M = 4, up to 60 at M = 34).  A
-# square table step (M = 4, N >= 3) is one small linear solve; the other
-# table steps and every weight step are HiGHS LPs, a fixed overhead plus
-# a term in the size of the constraint matrix: N * M * min(N, M) for a
-# table step, (min(N, 3M) + 1)^2 * (3M + 1) for a weight step over the
-# current and 2M fresh states.  Certifying the finished model checks it
-# against the N x N Gram, a term in N^2 * M once per inner call (its
-# least-squares corrections run through the Gram's factors, in O(N * M^2)).
-_FINISH_ROUNDS = 10
-_LP_SECONDS = 3e-3
-_TABLE_LP_SECONDS_PER_ENTRY = 2e-6
-_WEIGHT_LP_SECONDS_PER_ENTRY = 1.4e-6
-_CERTIFY_SECONDS_PER_ENTRY = 6e-9
+# A sweep asking for more of any count of lvt.search.sweep_work (scored
+# climb steps, scored climb table entries, finish LP rows) than its limit
+# here refuses to start without --long.  Each limit is about a minute of
+# work on a 2-core machine in the regime where its count dominates; the
+# counts are of work, not time, so a faster program leaves the gate
+# conservative rather than wrong.
+SEARCH_WORK_LIMITS = {"climb steps": 2e6, "climb table entries": 1e9, "finish LP rows": 1e6}
 
 
 @dataclass(frozen=True)
@@ -197,28 +179,6 @@ def parse_scan(text: str) -> list:
     return [start + i * step for i in range(count)]
 
 
-def projected_search_seconds(n_values, config: SearchConfig) -> float:
-    """Projected wall time of a sweep: per inner call, the climb and the finish."""
-    total = 0.0
-    m = config.m_states
-    pool = 3 * m
-    scored = 4.0 / 7.0 if m == 4 else 1.0
-    for n in n_values:
-        climb = (config.inner_iters + 1) * config.restarts * scored * (
-            _CLIMB_SECONDS_PER_STEP + _CLIMB_SECONDS_PER_STATE * m
-            + _CLIMB_SECONDS_PER_ENTRY * n * m
-        )
-        table = 0.0
-        if not (m == 4 and n >= 3):
-            table = _LP_SECONDS + _TABLE_LP_SECONDS_PER_ENTRY * n * m * min(n, m)
-        weight = _LP_SECONDS + (
-            _WEIGHT_LP_SECONDS_PER_ENTRY * (min(n, pool) + 1) ** 2 * (pool + 1)
-        )
-        finish = _FINISH_ROUNDS * (2 * table + weight) + _CERTIFY_SECONDS_PER_ENTRY * n * n * m
-        total += config.outer_iters * (climb + finish)
-    return total
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         seed = args.seed
@@ -281,12 +241,12 @@ def _cmd_search(args, seed: int):
     )
     if args.extrapolate and len(set(n_values)) < 3:
         raise InvalidInputError("--extrapolate needs at least 3 distinct settings counts")
-    projected = projected_search_seconds(n_values, config)
-    if projected > LONG_RUN_GATE_SECONDS and not args.long:
-        raise ResourceLimitError(
-            f"this sweep is projected to take {projected:.0f} s "
-            f"(> {LONG_RUN_GATE_SECONDS:.0f} s); pass --long to run it anyway"
-        )
+    for name, count in sweep_work(n_values, config).items():
+        if count > SEARCH_WORK_LIMITS[name] and not args.long:
+            raise ResourceLimitError(
+                f"this sweep asks for {count:.3g} {name}, over the limit of "
+                f"{SEARCH_WORK_LIMITS[name]:.3g}; pass --long to run it anyway"
+            )
 
     def progress(est: VisibilityEstimate) -> None:
         print(
@@ -460,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="print a JSON run record")
     common.add_argument("--out", default=None, help="write estimates to this CSV file")
     common.add_argument("--long", action="store_true",
-                        help="allow search sweeps projected to exceed 60 s")
+                        help="allow search sweeps over a work limit: " + ", ".join(
+                            f"{limit:.3g} {name}" for name, limit in SEARCH_WORK_LIMITS.items()
+                        ))
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,8 +27,6 @@ from .errors import InvalidInputError
 # off is treated as a caller bug rather than silently renormalized.
 NORM_SLACK = 1e-9
 
-OUTCOMES = (1, -1)
-
 
 def require_outcome(m: int) -> int:
     """Validate that ``m`` is one of the two measurement outcomes +-1."""

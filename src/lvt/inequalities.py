@@ -26,11 +26,6 @@ from .core import Direction, require_visibility
 from .errors import InvalidInputError
 from .estimate import VisibilityEstimate
 
-# Previously reported thresholds for arbitrarily many settings,
-# quoted as constants for comparison: 8/pi^2, pi/4, and 3/4.
-PRIOR_GENERAL_SETTINGS_BOUNDS = (8.0 / math.pi**2, math.pi / 4.0, 0.75)
-BEST_PRIOR_GENERAL_SETTINGS_BOUND = 0.75
-
 
 def _coerce(d) -> Direction:
     return d if isinstance(d, Direction) else Direction.from_array(d)

@@ -72,7 +72,7 @@ from .construct import (
 )
 from .errors import ConstructionFailureError, InvalidInputError, LvtError
 from .estimate import VisibilityEstimate
-from .seesaw import seesaw
+from .seesaw import lp_rows_bound, seesaw
 
 logger = logging.getLogger(__name__)
 
@@ -523,10 +523,7 @@ def perturb_settings(settings: SettingsEnsemble, rng: np.random.Generator) -> Se
     return SettingsEnsemble(jitter(settings.a_matrix), jitter(settings.b_matrix))
 
 
-def outer_minimize(
-    config: SearchConfig,
-    on_progress: Optional[Callable[[int, VisibilityEstimate], None]] = None,
-) -> VisibilityEstimate:
+def outer_minimize(config: SearchConfig) -> VisibilityEstimate:
     """Minimize the inner maximum over measurement settings.
 
     Alternates fresh uniform settings with small-angle perturbations of
@@ -552,8 +549,6 @@ def outer_minimize(
         if est.value < worst_value:
             worst_value = est.value
             worst_settings = settings
-        if on_progress is not None:
-            on_progress(k, est)
 
     values = np.array(inner_maxima)
     boot_rng = _derive_rng(base + [_TAG_BOOTSTRAP])
@@ -600,6 +595,26 @@ def n_sweep(
         if on_result is not None:
             on_result(est)
     return results
+
+
+def sweep_work(n_values: Sequence[int], config: SearchConfig) -> dict:
+    """Count the work n_sweep(n_values, config) asks for, without running it.
+
+    "climb steps": restart-steps scored, the starting state and the step
+    budget of every restart of every outer step, times the share of
+    moves the climb scores (4 in 7 at M = 4, whose t-half moves are
+    rejected unscored).  "climb table entries": those steps times the
+    N * M table entries each one scores.  "finish LP rows": an upper
+    bound on the equality rows of every see-saw LP, at its round cap.
+    """
+    m = config.m_states
+    share = 4.0 / 7.0 if m == 4 else 1.0
+    steps = config.outer_iters * config.restarts * (config.inner_iters + 1) * share
+    return {
+        "climb steps": steps * len(n_values),
+        "climb table entries": steps * m * sum(n_values),
+        "finish LP rows": config.outer_iters * sum(lp_rows_bound(n, m) for n in n_values),
+    }
 
 
 @dataclass(frozen=True)

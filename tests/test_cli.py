@@ -13,6 +13,7 @@ from lvt.cli import (
     EXIT_PARTIAL,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    SEARCH_WORK_LIMITS,
     RunRecord,
     load_settings,
     main,
@@ -20,6 +21,7 @@ from lvt.cli import (
     parse_scan,
 )
 from lvt.errors import InvalidInputError
+from lvt.search import sweep_work
 
 TINY_SEARCH = ["--inner-iters", "200", "--outer-iters", "2", "--restarts", "1"]
 
@@ -119,6 +121,41 @@ def test_search_long_gate_refuses_big_projection(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "--long" in err
+
+
+# Sweeps around the long-run gate: the README's and the default large-N
+# sweep are admitted, sweeps of a minute or more are refused by the
+# count that dominates them (None marks an admitted sweep).
+GATE_VERDICTS = [
+    (["--n", "3,10,30"], None),
+    (["--n", "4,16,64"], None),
+    (["--n", "100,300,1000"], None),
+    (["--n", "4,10,30", "--m", "34", "--outer-iters", "2"], None),
+    (["--n", "1000", "--inner-iters", "200000"], "climb steps"),
+    (["--n", "4,10,30", "--m", "34"], "finish LP rows"),
+    (["--n", "2,3,4", "--inner-iters", "100000"], "climb steps"),
+    (["--n", "2", "--outer-iters", "1000", "--inner-iters", "100"], "finish LP rows"),
+]
+
+
+@pytest.mark.parametrize("argv, refused_by", GATE_VERDICTS)
+def test_search_gate_verdicts(capsys, monkeypatch, argv, refused_by):
+    sweeps = []
+
+    def record_sweep(n_values, config, on_result=None):
+        sweeps.append((n_values, config))
+        return []
+
+    monkeypatch.setattr("lvt.cli.n_sweep", record_sweep)
+    code, _, err = run_cli(capsys, ["search"] + argv)
+    if refused_by is not None:
+        assert code == EXIT_RESOURCE
+        assert refused_by in err and "limit" in err and "--long" in err
+        assert not sweeps
+        return
+    assert len(sweeps) == 1
+    for name, count in sweep_work(*sweeps[0]).items():
+        assert count <= SEARCH_WORK_LIMITS[name]
 
 
 def test_search_streams_progress_to_stderr(capsys):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from lvt import (
-    BEST_PRIOR_GENERAL_SETTINGS_BOUND,
-    PRIOR_GENERAL_SETTINGS_BOUNDS,
     BellConfiguration,
     ChshConfiguration,
     Direction,
@@ -103,12 +101,6 @@ def test_four_setting_threshold():
     est = result.estimate()
     assert est.provenance == "chsh"
     assert est.n_settings == 2
-
-
-def test_prior_bound_constants():
-    assert PRIOR_GENERAL_SETTINGS_BOUNDS == (8.0 / math.pi**2, math.pi / 4.0, 0.75)
-    assert BEST_PRIOR_GENERAL_SETTINGS_BOUND == 0.75
-    assert min(PRIOR_GENERAL_SETTINGS_BOUNDS) == BEST_PRIOR_GENERAL_SETTINGS_BOUND
 
 
 def test_thresholds_deterministic():
