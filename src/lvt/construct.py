@@ -3,11 +3,11 @@
 For N settings per side, the N x N Gram matrix g[j][k] = a_j.b_k has
 rank at most 3, so g = U diag(p) V^T with three (or fewer) nonzero
 singular values.  The factors come from QRs of the two (N, 3) arrays
-of directions and one 3 x 3 SVD, so the Gram itself is formed only
-where a model is checked against it.  Given M hidden states with
-weights rho and two triples of M-vectors q_i, t_i that are
-biorthogonal (q_i.t_j = delta_ij) and orthogonal to the sqrt(rho)
-vector, the tables
+of directions and one 3 x 3 SVD, so the whole Gram is formed only for
+the LP oracle; validate_model checks a model against it a block of
+rows at a time.  Given M hidden states with weights rho and two
+triples of M-vectors q_i, t_i that are biorthogonal (q_i.t_j =
+delta_ij) and orthogonal to the sqrt(rho) vector, the tables
 
     A'[j][n] = sum_i U[j][i] sqrt(p_i) (q_i)[n] / sqrt(rho_n)
     B'[k][n] = sum_i V[k][i] sqrt(p_i) (t_i)[n] / sqrt(rho_n)
@@ -43,6 +43,9 @@ _BIORTHO_TOL = 1e-10
 _SIMPLEX_TOL = 1e-9
 
 _SEED_MASK = (1 << 64) - 1
+
+# Entries of the correlation residual validate_model holds at once.
+_CHECK_BLOCK_ENTRIES = 1 << 17
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -128,7 +131,12 @@ class SettingsEnsemble:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """gram[j][k] = a_j . b_k, clipped to [-1, 1] against round-off."""
+        """gram[j][k] = a_j . b_k, clipped to [-1, 1] against round-off.
+
+        The whole N x N matrix, for the LP oracle.  The search and its
+        certification never read it: they use the rank-3 factors (svd)
+        and validate_model's row blocks, and hold no N x N array.
+        """
         return _readonly(np.clip(self.a_matrix @ self.b_matrix.T, -1.0, 1.0))
 
     @cached_property
@@ -362,10 +370,6 @@ class DiscreteLhvModel:
     def m_states(self) -> int:
         return self.rho.shape[0]
 
-    def correlations(self) -> np.ndarray:
-        """sum_n rho_n A[j][n] B[k][n]; equals visibility * gram when valid."""
-        return np.einsum("n,jn,kn->jk", self.rho, self.a_table, self.b_table)
-
 
 def assemble_model(settings: SettingsEnsemble, frame: AuxiliaryFrame) -> DiscreteLhvModel:
     """Build the bounded model this frame certifies for these settings.
@@ -422,6 +426,12 @@ def validate_model(
     Reports the worst violation of: correlations equal visibility*gram;
     table entries bounded by 1; rho-weighted means zero; reconstructed
     outcome probabilities (1 -+ entry)/2 inside [0, 1].
+
+    The correlations are checked in blocks of rows, about
+    _CHECK_BLOCK_ENTRIES entries each: rows j of the product
+    sum_n rho_n A[j][n] B[k][n] against the same rows of the clipped
+    Gram a_j . b_k.  The check needs O(N*M) memory and never holds an
+    N x N array.
     """
     if model.n_settings != settings.n_settings:
         raise InvalidInputError(
@@ -429,7 +439,14 @@ def validate_model(
         )
     if tol <= 0.0:
         raise InvalidInputError(f"tolerance must be > 0, got {tol!r}")
-    corr = float(np.max(np.abs(model.correlations() - model.visibility * settings.gram)))
+    rows = max(1, _CHECK_BLOCK_ENTRIES // settings.n_settings)
+    worst = []
+    for start in range(0, settings.n_settings, rows):
+        block = slice(start, start + rows)
+        product = np.einsum("n,jn,kn->jk", model.rho, model.a_table[block], model.b_table)
+        gram = np.clip(settings.a_matrix[block] @ settings.b_matrix.T, -1.0, 1.0)
+        worst.append(np.max(np.abs(product - model.visibility * gram)))
+    corr = float(np.max(worst))
     bound = max(
         0.0,
         float(np.max(np.abs(model.a_table))) - 1.0,

@@ -29,8 +29,9 @@ each step through its rank-3 factors g = U diag(p) V^T, cached on the
 settings (lvt.construct): the reduced targets and the parts of g
 outside the spans come from N x 3 and 3 x rank products, so each step
 costs O(N*M) besides its solve.  The least-squares corrections of the
-finished model run through the same factors, in O(N*M^2); only its
-final check, validate_model, forms the N x N Gram.
+finished model run through the same factors, in O(N*M^2), and its
+final check, validate_model, compares correlations with the Gram a
+block of rows at a time, so the finish never holds an N x N array.
 
 A table step whose reduced system is square (rank+1 = M) is solved in
 closed form instead.  Its rows for setting j read R t_j = V h_j, with R

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,15 @@ from lvt import (
     Direction,
     InvalidInputError,
     SettingsEnsemble,
+    ValidationReport,
     assemble_model,
     floor_normalized_weights,
     gram_svd,
     make_frame,
     validate_model,
 )
+
+from lvt.construct import _CHECK_BLOCK_ENTRIES
 
 from directions import random_direction
 
@@ -174,6 +179,71 @@ def test_two_state_anticorrelation_model_passes():
     model = DiscreteLhvModel(rho=rho, a_table=a_table, b_table=b_table, visibility=1.0)
     report = validate_model(model, settings, 1e-9)
     assert report.passed
+
+
+def _direct_report(model, settings, tol):
+    """validate_model's four fields, from the whole N x N Gram at once."""
+    gram = np.clip(settings.a_matrix @ settings.b_matrix.T, -1.0, 1.0)
+    product = np.einsum("n,jn,kn->jk", model.rho, model.a_table, model.b_table)
+    a, b = model.a_table, model.b_table
+    return ValidationReport(
+        correlation_violation=float(np.max(np.abs(product - model.visibility * gram))),
+        bound_violation=max(0.0, float(np.max(np.abs(a))) - 1.0, float(np.max(np.abs(b))) - 1.0),
+        marginal_violation=max(
+            float(np.max(np.abs(a @ model.rho))), float(np.max(np.abs(b @ model.rho)))
+        ),
+        probability_violation=max(
+            0.0,
+            float(np.max(-(1.0 - a) / 2.0)),
+            float(np.max((1.0 - a) / 2.0 - 1.0)),
+            float(np.max(-(1.0 + b) / 2.0)),
+            float(np.max((1.0 + b) / 2.0 - 1.0)),
+        ),
+        tol=tol,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, 1500])
+def test_blocked_validation_matches_direct_check(n):
+    # N = 1 and 3 fit one row block; 1000 and 1500 end in a partial one.
+    rows = max(1, _CHECK_BLOCK_ENTRIES // n)
+    assert n <= rows or n % rows != 0
+    rng = np.random.default_rng([61, n])
+    settings = SettingsEnsemble.random(n, rng)
+    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 6), 1e-6)
+    model = assemble_model(settings, make_frame(rho, seed=n))
+    assert validate_model(model, settings, 1e-9) == _direct_report(model, settings, 1e-9)
+    noisy = DiscreteLhvModel(
+        rho=model.rho,
+        a_table=model.a_table + rng.uniform(-0.5, 0.5, model.a_table.shape),
+        b_table=model.b_table,
+        visibility=model.visibility,
+    )
+    assert validate_model(noisy, settings, 1e-9) == _direct_report(noisy, settings, 1e-9)
+    a_table = model.a_table.copy()
+    a_table[-1, 2] += 1e-6
+    nudged = DiscreteLhvModel(
+        rho=model.rho, a_table=a_table, b_table=model.b_table, visibility=model.visibility
+    )
+    report = validate_model(nudged, settings, 1e-9)
+    direct = _direct_report(nudged, settings, 1e-9)
+    assert report.correlation_violation == direct.correlation_violation > 1e-9
+    assert not report.passed
+
+
+def test_validation_memory_grows_linearly():
+    # The whole N x N residual at N = 2000 would trace about 96 MB.
+    rng = np.random.default_rng(67)
+    settings = SettingsEnsemble.random(2000, rng)
+    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 4), 1e-6)
+    model = assemble_model(settings, make_frame(rho, seed=5))
+    tracemalloc.start()
+    try:
+        assert validate_model(model, settings, 1e-9).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_settings_gram_is_clipped_dot_products():

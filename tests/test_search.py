@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lvt import search as search_module
+from lvt import seesaw as seesaw_module
 from lvt import (
     Direction,
     InvalidInputError,
@@ -428,3 +429,23 @@ def test_state_to_model_certifies_its_value():
         assert abs(model.visibility - est.value) < 1e-12
         report = validate_model(model, settings, 1e-8)
         assert report.passed
+
+
+def test_search_path_never_reads_the_gram(monkeypatch):
+    def no_gram(self):
+        raise AssertionError("the N x N Gram was formed")
+
+    monkeypatch.setattr(SettingsEnsemble, "gram", property(no_gram))
+    checked = []
+
+    def recording_validate(model, settings, tol):
+        checked.append(model)
+        return validate_model(model, settings, tol)
+
+    monkeypatch.setattr(seesaw_module, "validate_model", recording_validate)
+    settings = SettingsEnsemble.random(300, np.random.default_rng(107))
+    cfg = SearchConfig(n_settings=300, inner_iters=100, restarts=1, seed=17)
+    model, est = inner_maximize(settings, cfg)
+    assert checked
+    assert model.visibility == est.value
+    assert validate_model(model, settings, 1e-8).passed
