@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,13 +31,13 @@ from .analytic import (
     validity_scan,
 )
 from .construct import (
-    DEFAULT_RHO_MIN,
     SettingsEnsemble,
     assemble_model,
     floor_normalized_weights,
     make_frame,
     validate_model,
 )
+from .core import seeded_rng
 from .errors import (
     InvalidInputError,
     LvtError,
@@ -56,7 +55,6 @@ EXIT_PARTIAL = 4
 
 CSV_COLUMNS = ("n", "visibility", "std_error", "provenance", "seed", "iterations", "wall_time_s")
 
-_SEED_MASK = (1 << 64) - 1
 _TAG_CLI_SETTINGS = 6
 _TAG_CLI_WEIGHTS = 7
 
@@ -92,21 +90,6 @@ class RunRecord:
             "details": dict(self.details),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        try:
-            return cls(
-                command=data["command"],
-                config=dict(data["config"]),
-                estimates=tuple(VisibilityEstimate.from_dict(e) for e in data["estimates"]),
-                wall_time_s=data["wall_time_s"],
-                version=data["version"],
-                seed=data["seed"],
-                details=dict(data["details"]),
-            )
-        except KeyError as exc:
-            raise InvalidInputError(f"run record is missing key {exc}") from exc
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
@@ -120,7 +103,7 @@ def write_csv(path: str, estimates) -> None:
             writer.writerow([
                 e.n_settings,
                 repr(e.value),
-                "" if e.std_error is None else repr(e.std_error),
+                repr(e.std_error),
                 e.provenance,
                 e.seed,
                 e.iterations_used,
@@ -179,27 +162,6 @@ def parse_scan(text: str) -> list:
     return [start + i * step for i in range(count)]
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("LVT_SEED")
-        if env is None:
-            return 0
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise InvalidInputError(f"LVT_SEED must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _settings_rng(seed: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=[seed & _SEED_MASK, _TAG_CLI_SETTINGS])
-    return np.random.default_rng(seq)
-
-
 def _cmd_analytic(args, seed: int):
     threshold = analytic_threshold()
     model = model_for_visibility(threshold)
@@ -234,10 +196,7 @@ def _cmd_search(args, seed: int):
         inner_iters=args.inner_iters,
         outer_iters=args.outer_iters,
         restarts=args.restarts,
-        step_scale=args.step,
-        patience=args.patience,
         seed=seed,
-        rho_min=args.rho_min,
     )
     if args.extrapolate and len(set(n_values)) < 3:
         raise InvalidInputError("--extrapolate needs at least 3 distinct settings counts")
@@ -282,9 +241,7 @@ def _cmd_search(args, seed: int):
     config_dict = {
         "n": n_values, "m": config.m_states, "inner_iters": config.inner_iters,
         "outer_iters": config.outer_iters, "restarts": config.restarts,
-        "step": config.step_scale, "patience": config.patience,
-        "rho_min": config.rho_min, "seed": seed,
-        "extrapolate": bool(args.extrapolate),
+        "seed": seed, "extrapolate": bool(args.extrapolate),
     }
     record = RunRecord("search", config_dict, tuple(estimates), 0.0, __version__, seed, details)
     return record, lines, exit_code
@@ -299,7 +256,7 @@ def _cmd_oracle(args, seed: int):
     else:
         if args.random < 1:
             raise InvalidInputError(f"--random must be >= 1, got {args.random}")
-        settings = SettingsEnsemble.random(args.random, _settings_rng(seed))
+        settings = SettingsEnsemble.random(args.random, seeded_rng(seed, _TAG_CLI_SETTINGS))
         source = "random"
     estimate = max_visibility_lp(settings)
     details = {
@@ -367,14 +324,11 @@ def _cmd_construct(args, seed: int):
             raise InvalidInputError("construct needs --settings or --n")
         if args.n < 1:
             raise InvalidInputError(f"--n must be >= 1, got {args.n}")
-        settings = SettingsEnsemble.random(args.n, _settings_rng(seed))
+        settings = SettingsEnsemble.random(args.n, seeded_rng(seed, _TAG_CLI_SETTINGS))
     if args.m < 4:
         raise InvalidInputError(f"--m must be >= 4, got {args.m}")
-    weights_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=[seed & _SEED_MASK, _TAG_CLI_WEIGHTS])
-    )
-    rho = floor_normalized_weights(weights_rng.uniform(0.0, 1.0, args.m), args.rho_min)
-    frame = make_frame(rho, seed, rho_min=args.rho_min)
+    rho = floor_normalized_weights(seeded_rng(seed, _TAG_CLI_WEIGHTS).uniform(0.0, 1.0, args.m))
+    frame = make_frame(rho, seed)
     model = assemble_model(settings, frame)
     report = validate_model(model, settings, tol=1e-9)
     estimate = VisibilityEstimate(
@@ -399,10 +353,7 @@ def _cmd_construct(args, seed: int):
         f"probabilities={report.probability_violation:.3e}",
         f"passed: {report.passed}",
     ]
-    config = {
-        "n": args.n, "m": args.m, "settings": args.settings,
-        "rho_min": args.rho_min, "seed": seed,
-    }
+    config = {"n": args.n, "m": args.m, "settings": args.settings, "seed": seed}
     record = RunRecord("construct", config, (estimate,), 0.0, __version__, seed, details)
     return record, lines, EXIT_OK if report.passed else EXIT_PARTIAL
 
@@ -415,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: LVT_SEED env var, else 0)")
+    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--json", action="store_true", help="print a JSON run record")
     common.add_argument("--out", default=None, help="write estimates to this CSV file")
     common.add_argument("--long", action="store_true",
@@ -436,10 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-iters", type=int, default=4000)
     p.add_argument("--outer-iters", type=int, default=24)
     p.add_argument("--restarts", type=int, default=2)
-    p.add_argument("--step", type=float, default=0.25, help="perturbation scale")
-    p.add_argument("--patience", type=int, default=60,
-                   help="rejections before the step factor halves")
-    p.add_argument("--rho-min", type=float, default=DEFAULT_RHO_MIN)
     p.add_argument("--extrapolate", action="store_true",
                    help="append the fitted N->infinity limit")
 
@@ -454,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="random settings count")
     p.add_argument("--m", type=int, default=4, help="hidden states (default 4)")
     p.add_argument("--settings", default=None, help="JSON settings file")
-    p.add_argument("--rho-min", type=float, default=DEFAULT_RHO_MIN)
 
     return parser
 
@@ -467,7 +412,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     started = time.perf_counter()
     try:
-        seed = _resolve_seed(args)
+        seed = args.seed
+        if seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {seed}")
         if args.command == "analytic":
             record, lines, code = _cmd_analytic(args, seed)
         elif args.command == "search":

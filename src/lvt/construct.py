@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NORM_SLACK, Direction
+from .core import NORM_SLACK, Direction, seeded_rng
 from .errors import ConstructionFailureError, InvalidInputError
 
 # Weight floor applied before the 1/sqrt(rho) division; prevents
@@ -41,8 +41,6 @@ _SINGULAR_CUTOFF = 1e-10
 # Frame invariant tolerances.
 _BIORTHO_TOL = 1e-10
 _SIMPLEX_TOL = 1e-9
-
-_SEED_MASK = (1 << 64) - 1
 
 # Entries of the correlation residual validate_model holds at once.
 _CHECK_BLOCK_ENTRIES = 1 << 17
@@ -291,9 +289,8 @@ def make_frame(rho: Sequence[float], seed: int, rho_min: float = DEFAULT_RHO_MIN
         raise InvalidInputError("weights must sum to 1")
     srho = np.sqrt(rho_arr)
 
-    base = int(seed) & _SEED_MASK
     for attempt in range(100):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[base, attempt]))
+        rng = seeded_rng(seed, attempt)
         q = project_out(rng.standard_normal((3, rho_arr.shape[0])), srho)
         t_raw = project_out(rng.standard_normal((3, rho_arr.shape[0])), srho)
         cross = q @ t_raw.T

@@ -27,6 +27,8 @@ from .errors import InvalidInputError
 # off is treated as a caller bug rather than silently renormalized.
 NORM_SLACK = 1e-9
 
+_SEED_MASK = (1 << 64) - 1
+
 
 def require_outcome(m: int) -> int:
     """Validate that ``m`` is one of the two measurement outcomes +-1."""
@@ -41,6 +43,13 @@ def require_visibility(v: float) -> float:
     if not math.isfinite(v) or v < 0.0 or v > 1.0:
         raise InvalidInputError(f"visibility must lie in [0, 1], got {v!r}")
     return v
+
+
+def seeded_rng(*entropy: int) -> np.random.Generator:
+    """Generator on the stream named by a seed and tags, each taken mod 2^64."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=[int(e) & _SEED_MASK for e in entropy])
+    )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Optional
 
 from .errors import InvalidInputError
 
@@ -17,11 +16,11 @@ class VisibilityEstimate:
 
     ``n_settings`` is the number of measurement settings per side the
     estimate refers to (0 when the notion does not apply, e.g. an
-    extrapolated limit).  ``std_error`` is None for exact results.
+    extrapolated limit).  ``std_error`` is 0.0 for exact results.
     """
 
     value: float
-    std_error: Optional[float]
+    std_error: float
     n_settings: int
     provenance: str
     seed: int
@@ -32,11 +31,10 @@ class VisibilityEstimate:
         if not math.isfinite(value) or value < 0.0 or value > 1.0:
             raise InvalidInputError(f"estimate value must lie in [0, 1], got {value!r}")
         object.__setattr__(self, "value", value)
-        if self.std_error is not None:
-            err = float(self.std_error)
-            if not math.isfinite(err) or err < 0.0:
-                raise InvalidInputError(f"std_error must be >= 0, got {err!r}")
-            object.__setattr__(self, "std_error", err)
+        err = float(self.std_error)
+        if not math.isfinite(err) or err < 0.0:
+            raise InvalidInputError(f"std_error must be >= 0, got {err!r}")
+        object.__setattr__(self, "std_error", err)
         if self.provenance not in PROVENANCES:
             raise InvalidInputError(
                 f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
@@ -50,17 +48,3 @@ class VisibilityEstimate:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "VisibilityEstimate":
-        try:
-            return cls(
-                value=data["value"],
-                std_error=data["std_error"],
-                n_settings=data["n_settings"],
-                provenance=data["provenance"],
-                seed=data["seed"],
-                iterations_used=data["iterations_used"],
-            )
-        except KeyError as exc:
-            raise InvalidInputError(f"estimate dict is missing key {exc}") from exc

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Direction, require_visibility
+from .core import Direction, require_visibility, seeded_rng
 from .errors import InvalidInputError
 from .estimate import VisibilityEstimate
 
@@ -166,7 +166,7 @@ def _multi_start_maximize(objective, n_dirs: int, starts: int, max_iterations: i
     """Best of `starts` local simplex searches over spherical coordinates."""
     if starts < 1 or max_iterations < 1:
         raise InvalidInputError("optimizer budget must be >= 1 start and iteration")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed) & ((1 << 64) - 1), 5]))
+    rng = seeded_rng(seed, 5)
     best_value = -math.inf
     best_params = None
     evaluations = 0

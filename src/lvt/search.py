@@ -70,13 +70,12 @@ from .construct import (
     project_out,
     unit_rows,
 )
+from .core import seeded_rng
 from .errors import ConstructionFailureError, InvalidInputError, LvtError
 from .estimate import VisibilityEstimate
 from .seesaw import lp_rows_bound, seesaw
 
 logger = logging.getLogger(__name__)
-
-_SEED_MASK = (1 << 64) - 1
 
 # Stream tags keeping the derived RNGs of the loops disjoint.
 _TAG_RESTART = 1
@@ -85,8 +84,13 @@ _TAG_INNER_SEED = 3
 _TAG_BOOTSTRAP = 4
 _TAG_FINISH = 5
 
-# Adaptive step-factor limits; the run stops early once the factor
-# shrinks through the floor (roughly 10*patience straight rejections).
+# A move adds _STEP_SCALE * factor * (a standard normal) to one
+# coordinate.  The factor halves after _PATIENCE rejections in a row and
+# doubles after 10 acceptances in a row, up to the cap; the run stops
+# early once it shrinks through the floor (roughly 10 * _PATIENCE
+# straight rejections).
+_STEP_SCALE = 0.25
+_PATIENCE = 60
 _FACTOR_FLOOR = 1e-3
 _FACTOR_CAP = 8.0
 
@@ -128,21 +132,22 @@ _ALPHA_GRID = (0.25, 0.5, 0.75, 1.0)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and knobs for the max-min search."""
+    """Budgets for the max-min search.
+
+    The climb's step scale, patience and weight floor are fixed:
+    _STEP_SCALE, _PATIENCE and DEFAULT_RHO_MIN.
+    """
 
     n_settings: int
     m_states: int = 4
     inner_iters: int = 4000
     outer_iters: int = 24
     restarts: int = 2
-    step_scale: float = 0.25
-    patience: int = 60
     seed: int = 0
-    rho_min: float = DEFAULT_RHO_MIN
 
     def __post_init__(self) -> None:
         for name in ("n_settings", "m_states", "inner_iters", "outer_iters",
-                     "restarts", "patience", "seed"):
+                     "restarts", "seed"):
             raw = getattr(self, name)
             if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
                 raise InvalidInputError(f"{name} must be an integer, got {raw!r}")
@@ -151,32 +156,17 @@ class SearchConfig:
             raise InvalidInputError(f"n_settings must be >= 1, got {self.n_settings}")
         if self.m_states < 4:
             raise InvalidInputError(f"m_states must be >= 4, got {self.m_states}")
-        for name in ("inner_iters", "outer_iters", "restarts", "patience"):
+        for name in ("inner_iters", "outer_iters", "restarts"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        step = float(self.step_scale)
-        if not math.isfinite(step) or step <= 0.0:
-            raise InvalidInputError(f"step_scale must be > 0, got {self.step_scale!r}")
-        object.__setattr__(self, "step_scale", step)
-        rho_min = float(self.rho_min)
-        if not (0.0 < rho_min <= 1.0 / self.m_states):
-            raise InvalidInputError(
-                f"rho_min must lie in (0, 1/m_states], got {self.rho_min!r}"
-            )
-        object.__setattr__(self, "rho_min", rho_min)
 
 
-def _derive_seed(entropy: Sequence[int]) -> int:
-    """Stable 64-bit seed from a list of nonnegative integers."""
-    seq = np.random.SeedSequence(entropy=[int(e) & _SEED_MASK for e in entropy])
+def _derive_seed(*entropy: int) -> int:
+    """Stable 64-bit seed from the stream seeded_rng(*entropy) names."""
+    seq = seeded_rng(*entropy).bit_generator.seed_seq
     return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
-def _derive_rng(entropy: Sequence[int]) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=[int(e) & _SEED_MASK for e in entropy])
-    return np.random.default_rng(seq)
 
 
 def _state_tables(
@@ -261,7 +251,7 @@ def state_to_model(
     x = np.asarray(x, dtype=float)
     if x.shape != (7 * m,):
         raise InvalidInputError(f"state must have length {7 * m}, got shape {x.shape}")
-    rho = floor_normalized_weights(x[6 * m :], config.rho_min)
+    rho = floor_normalized_weights(x[6 * m :])
     srho = np.sqrt(rho)
     q = project_out(x[: 3 * m].reshape(3, m), srho)
     t = biorthogonalize(q, project_out(x[3 * m : 6 * m].reshape(3, m), srho))
@@ -301,9 +291,7 @@ def _block_moves(n: int, m: int) -> int:
 
 
 def _climb(
-    settings: SettingsEnsemble,
-    config: SearchConfig,
-    on_accept: Optional[Callable[[np.ndarray, float], None]] = None,
+    settings: SettingsEnsemble, config: SearchConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """All restarts of one call, each scoring a block of moves at a time.
 
@@ -339,7 +327,7 @@ def _climb(
     m = config.m_states
     dim = 7 * m
     count = config.restarts
-    rngs = [_derive_rng([config.seed, _TAG_RESTART, r]) for r in range(count)]
+    rngs = [seeded_rng(config.seed, _TAG_RESTART, r) for r in range(count)]
 
     evals = 0
     x = np.empty((count, dim))
@@ -348,7 +336,7 @@ def _climb(
         for _ in range(100):
             x[r] = np.concatenate([rng.standard_normal(6 * m), rng.uniform(0.0, 1.0, m)])
             evals += 1
-            tables, solved = _state_tables(x[r : r + 1], w_ab, m, config.rho_min)
+            tables, solved = _state_tables(x[r : r + 1], w_ab, m, DEFAULT_RHO_MIN)
             if solved[0] and _scores(tables, exact)[0][0] > -np.inf:
                 break
         else:
@@ -358,11 +346,8 @@ def _climb(
     ladder.append(math.inf)  # exact objective on the final rung
     phase_len = max(1, config.inner_iters // len(ladder))
     beta = np.full(count, ladder[0])
-    score, best_v = _scores(_state_tables(x, w_ab, m, config.rho_min)[0], beta)
+    score, best_v = _scores(_state_tables(x, w_ab, m, DEFAULT_RHO_MIN)[0], beta)
     best_x = x.copy()
-    if on_accept is not None:
-        for r in range(count):
-            on_accept(x[r].copy(), float(best_v[r]))
 
     block = _block_moves(settings.n_settings, m)
     factor = np.ones(count)
@@ -396,14 +381,14 @@ def _climb(
             phase = steps[r] // phase_len
             if steps[r] > 0 and steps[r] % phase_len == 0 and phase < len(ladder):
                 beta[r] = ladder[phase]
-                tables, _ = _state_tables(x[r : r + 1], w_ab, m, config.rho_min)
+                tables, _ = _state_tables(x[r : r + 1], w_ab, m, DEFAULT_RHO_MIN)
                 score[r] = _scores(tables, beta[r : r + 1])[0][0]
             if phase + 1 < len(ladder):
                 rung_end = (phase + 1) * phase_len
             else:
                 rung_end = config.inner_iters
             size = max(0, min(
-                block, config.patience - rejections[r], rung_end - steps[r],
+                block, _PATIENCE - rejections[r], rung_end - steps[r],
                 limit[r] - steps[r], ahead - steps[r],
             ))
             ahead = min(ahead, steps[r] + size)
@@ -421,7 +406,7 @@ def _climb(
         column = cursor[owner] + rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
         move = queue_index[owner, column]
         candidate = x[owner]
-        candidate[rows, move] += config.step_scale * factor[owner] * queue_step[owner, column]
+        candidate[rows, move] += _STEP_SCALE * factor[owner] * queue_step[owner, column]
         total = rows.shape[0]
         improved = np.zeros(total, dtype=bool)
         new_score = np.empty(total)
@@ -432,7 +417,7 @@ def _climb(
             scored = (move < 3 * m) | (move >= 6 * m)
         if m > 4 or scored.any():
             scored_owner = owner[scored]
-            tables, solved = _state_tables(candidate[scored], w_ab, m, config.rho_min)
+            tables, solved = _state_tables(candidate[scored], w_ab, m, DEFAULT_RHO_MIN)
             scores, values = _scores(tables, beta[scored_owner])
             new_score[scored], new_v[scored] = scores, values
             improved[scored] = solved & (scores > score[scored_owner])
@@ -452,8 +437,6 @@ def _climb(
                 if new_v[i] > best_v[r]:
                     best_v[r] = new_v[i]
                     best_x[r] = candidate[i]
-                    if on_accept is not None:
-                        on_accept(candidate[i].copy(), float(new_v[i]))
                     if best_v[r] >= 1.0:
                         limit[r:] = [min(cap, steps[r]) for cap in limit[r:]]
                 rejections[r] = 0
@@ -464,7 +447,7 @@ def _climb(
             elif taken:
                 streak[r] = 0
                 rejections[r] += taken
-                if rejections[r] >= config.patience:
+                if rejections[r] >= _PATIENCE:
                     factor[r] *= 0.5
                     rejections[r] = 0
             reached = min(reached, steps[r])
@@ -473,9 +456,7 @@ def _climb(
 
 
 def inner_maximize(
-    settings: SettingsEnsemble,
-    config: SearchConfig,
-    on_accept: Optional[Callable[[np.ndarray, float], None]] = None,
+    settings: SettingsEnsemble, config: SearchConfig
 ) -> tuple[DiscreteLhvModel, VisibilityEstimate]:
     """Largest certified V over M-state local models at fixed settings.
 
@@ -491,19 +472,16 @@ def inner_maximize(
     restart whose best reaches V = 1 stops, and so does every restart
     with a higher index; the winner is the same as if they climbed on,
     but estimate.iterations_used counts only the steps taken.
-    on_accept sees every climb state that improves its restart's best,
-    which state_to_model rebuilds, in order within each restart but not
-    across restarts; the finish does not report through it.
     """
     if settings.n_settings != config.n_settings:
         raise InvalidInputError(
             f"settings have {settings.n_settings} directions per side, "
             f"config expects {config.n_settings}"
         )
-    best_v, best_x, evals = _climb(settings, config, on_accept)
+    best_v, best_x, evals = _climb(settings, config)
     best_index = min(range(config.restarts), key=lambda r: (-best_v[r], r))
     model = state_to_model(best_x[best_index], settings, config)
-    model = seesaw(model, settings, _derive_rng([config.seed, _TAG_FINISH]))
+    model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
     estimate = VisibilityEstimate(
         value=model.visibility,
         std_error=0.0,
@@ -531,8 +509,7 @@ def outer_minimize(config: SearchConfig) -> VisibilityEstimate:
     over the outer samples' inner maxima.
     """
     n = config.n_settings
-    base = [config.seed, n]
-    rng = _derive_rng(base + [_TAG_OUTER])
+    rng = seeded_rng(config.seed, n, _TAG_OUTER)
     worst_settings = None
     worst_value = math.inf
     inner_maxima = []
@@ -542,7 +519,7 @@ def outer_minimize(config: SearchConfig) -> VisibilityEstimate:
             settings = SettingsEnsemble.random(n, rng)
         else:
             settings = perturb_settings(worst_settings, rng)
-        inner_config = replace(config, seed=_derive_seed(base + [_TAG_INNER_SEED, k]))
+        inner_config = replace(config, seed=_derive_seed(config.seed, n, _TAG_INNER_SEED, k))
         _, est = inner_maximize(settings, inner_config)
         total_evals += est.iterations_used
         inner_maxima.append(est.value)
@@ -551,7 +528,7 @@ def outer_minimize(config: SearchConfig) -> VisibilityEstimate:
             worst_settings = settings
 
     values = np.array(inner_maxima)
-    boot_rng = _derive_rng(base + [_TAG_BOOTSTRAP])
+    boot_rng = seeded_rng(config.seed, n, _TAG_BOOTSTRAP)
     count = values.shape[0]
     resample_minima = [
         float(np.min(values[boot_rng.integers(0, count, count)]))

@@ -330,15 +330,17 @@ def lp_rows_bound(n: int, m: int) -> int:
 
     Each of up to _MAX_ROUNDS rounds solves two table steps, the weight
     LP over the current and pooled states, and at most one fallback
-    weight LP over the current states.  A table step's fixed side spans
-    g, so for settings in general position its rank lies between
-    min(N, 3) and min(N, M - 1); when min(N, 3) already reaches M - 1
-    (M = 4, N >= 3) every table step is square and needs no LP, and
-    otherwise an LP has N * (rank + 1) rows with rank + 1 < M.  A weight
-    LP has (rank_A + 1) * (rank_B + 1) rows, each rank at most
-    min(N, columns offered).
+    weight LP over the current states.  Every table the finish holds has
+    zero marginals, T rho = 0, so its M columns have rank at most M - 1.
+    A table step's fixed side spans g, so for settings in general
+    position its rank lies between min(N, 3) and min(N, M - 1); when
+    min(N, 3) already reaches M - 1 (M = 4, N >= 3) every table step is
+    square and needs no LP, and otherwise an LP has N * (rank + 1) rows
+    with rank + 1 < M.  A weight LP has (rank_A + 1) * (rank_B + 1) rows,
+    each rank at most N and at most M - 1 plus the fresh columns
+    offered.
     """
     table = 0 if min(n, 3) + 1 >= m else n * min(n + 1, m - 1)
-    pooled = (min(n, (1 + _POOL_FACTOR) * m) + 1) ** 2
-    current = (min(n, m) + 1) ** 2
+    pooled = (min(n, m - 1 + _POOL_FACTOR * m) + 1) ** 2
+    current = (min(n, m - 1) + 1) ** 2
     return _MAX_ROUNDS * (2 * table + pooled + current)

@@ -14,7 +14,6 @@ from lvt.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     SEARCH_WORK_LIMITS,
-    RunRecord,
     load_settings,
     main,
     parse_n_list,
@@ -58,12 +57,12 @@ def test_analytic_scan_flips_at_threshold(capsys):
 def test_analytic_json_record_round_trips(capsys):
     code, out, _ = run_cli(capsys, ["analytic", "--json", "--seed", "5"])
     assert code == EXIT_OK
-    record = RunRecord.from_dict(json.loads(out))
-    assert record.command == "analytic"
-    assert record.seed == 5
-    assert record.estimates[0].value == 1.0 / 3.0
-    assert record.estimates[0].provenance == "analytic"
-    assert record.wall_time_s == 0.0
+    record = json.loads(out)
+    assert record["command"] == "analytic"
+    assert record["seed"] == 5
+    assert record["estimates"][0]["value"] == 1.0 / 3.0
+    assert record["estimates"][0]["provenance"] == "analytic"
+    assert record["wall_time_s"] == 0.0
 
 
 def test_search_writes_csv_rows(capsys, tmp_path):
@@ -135,6 +134,7 @@ GATE_VERDICTS = [
     (["--n", "4,10,30", "--m", "34"], "finish LP rows"),
     (["--n", "2,3,4", "--inner-iters", "100000"], "climb steps"),
     (["--n", "2", "--outer-iters", "1000", "--inner-iters", "100"], "finish LP rows"),
+    (["--n", "100,200,300,1000"], None),
 ]
 
 
@@ -234,11 +234,11 @@ def test_construct_json_reports_validation_block(capsys, tmp_path):
     )
     code, out, _ = run_cli(capsys, ["construct", "--settings", path, "--json"])
     assert code == EXIT_OK
-    record = RunRecord.from_dict(json.loads(out))
-    assert record.command == "construct"
-    assert record.details["validation"]["passed"] is True
-    assert record.details["validation"]["correlation_violation"] < 1e-9
-    assert abs(sum(record.details["rho"]) - 1.0) < 1e-12
+    record = json.loads(out)
+    assert record["command"] == "construct"
+    assert record["details"]["validation"]["passed"] is True
+    assert record["details"]["validation"]["correlation_violation"] < 1e-9
+    assert abs(sum(record["details"]["rho"]) - 1.0) < 1e-12
 
 
 def test_construct_usage_errors(capsys):
@@ -251,16 +251,26 @@ def test_construct_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
-def test_seed_env_var_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("LVT_SEED", "11")
+# The climb's step scale, patience and weight floor are fixed, and the
+# seed comes only from --seed.
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "2", "--step", "0.5"],
+    ["search", "--n", "2", "--patience", "7"],
+    ["search", "--n", "2", "--rho-min", "0.01"],
+    ["construct", "--n", "3", "--rho-min", "0.01"],
+])
+def test_removed_settings_are_usage_errors(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == EXIT_USAGE
+    assert "unrecognized arguments" in err
+
+
+def test_seed_env_var_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("LVT_SEED", "5")
     _, out, _ = run_cli(capsys, ["analytic", "--json"])
-    assert json.loads(out)["seed"] == 11
+    assert json.loads(out)["seed"] == 0
     _, out, _ = run_cli(capsys, ["analytic", "--json", "--seed", "4"])
     assert json.loads(out)["seed"] == 4
-    monkeypatch.setenv("LVT_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, ["analytic"])
-    assert code == EXIT_USAGE
-    assert "LVT_SEED" in err
 
 
 def test_negative_seed_rejected(capsys):

@@ -6,6 +6,7 @@ import pytest
 from lvt import search as search_module
 from lvt import seesaw as seesaw_module
 from lvt import (
+    DEFAULT_RHO_MIN,
     Direction,
     InvalidInputError,
     SearchConfig,
@@ -24,6 +25,7 @@ from lvt import (
     validate_model,
 )
 from lvt.construct import biorthogonalize, project_out
+from lvt.core import seeded_rng
 
 from directions import random_direction
 
@@ -33,10 +35,9 @@ def test_config_validation():
         SearchConfig(n_settings=0)
     with pytest.raises(InvalidInputError):
         SearchConfig(n_settings=2, m_states=3)
-    with pytest.raises(InvalidInputError):
-        SearchConfig(n_settings=2, step_scale=0.0)
-    with pytest.raises(InvalidInputError):
-        SearchConfig(n_settings=2, rho_min=0.5)
+    for fixed in ("step_scale", "patience", "rho_min"):
+        with pytest.raises(TypeError):
+            SearchConfig(n_settings=2, **{fixed: 1})
     cfg = SearchConfig(n_settings=2)
     assert cfg.m_states == 4
 
@@ -62,22 +63,24 @@ def test_inner_maximum_never_exceeds_exact_optimum():
             assert est.value <= oracle.value + 5e-3
 
 
-def test_accepted_values_non_decreasing_and_models_valid():
-    rng = np.random.default_rng(89)
-    settings = SettingsEnsemble.random(2, rng)
-    cfg = SearchConfig(n_settings=2, inner_iters=1500, restarts=1, seed=4)
-    accepted = []
-
-    def record(state, value):
-        accepted.append((state, value))
-
-    inner_maximize(settings, cfg, on_accept=record)
-    values = [v for _, v in accepted]
-    assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-    for state, value in accepted[:: max(1, len(accepted) // 10)]:
+@pytest.mark.parametrize("n, m", [(2, 4), (2, 5), (30, 4)])
+def test_kernel_value_matches_rebuilt_model(n, m):
+    # The climb scores states with the stacked kernel; state_to_model
+    # rebuilds the model one state at a time.  Both must read the same
+    # exact visibility, and the rebuilt model must certify it.
+    rng = np.random.default_rng([89, n, m])
+    settings = SettingsEnsemble.random(n, rng)
+    cfg = SearchConfig(n_settings=n, m_states=m)
+    svd = gram_svd(settings)
+    w_ab = np.stack([svd.u * np.sqrt(svd.p), svd.v * np.sqrt(svd.p)])
+    x = np.concatenate([rng.standard_normal((40, 6 * m)), rng.uniform(size=(40, m))], axis=1)
+    tables, solved = search_module._state_tables(x, w_ab, m, DEFAULT_RHO_MIN)
+    assert solved.all()
+    _, values = search_module._scores(tables, np.full(40, math.inf))
+    for state, value in zip(x, values):
         model = state_to_model(state, settings, cfg)
-        assert validate_model(model, settings, 1e-8).passed
         assert abs(model.visibility - value) < 1e-9
+        assert validate_model(model, settings, 1e-8).passed
 
 
 def test_inner_maximize_deterministic():
@@ -103,7 +106,7 @@ def test_m4_model_keeps_zero_marginals():
     _, best_x, _ = search_module._climb(settings, cfg)
     x = best_x[0].copy()
     m = cfg.m_states
-    rho = floor_normalized_weights(x[6 * m :], cfg.rho_min)
+    rho = floor_normalized_weights(x[6 * m :], DEFAULT_RHO_MIN)
     srho = np.sqrt(rho)
     x[3 * m : 6 * m] += np.tile(1e9 * srho, 3)
     q = project_out(x[: 3 * m].reshape(3, m), srho)
@@ -130,14 +133,14 @@ def stepwise_climb(settings, config, retire=True):
     m = config.m_states
     dim = 7 * m
     count = config.restarts
-    rngs = [sm._derive_rng([config.seed, sm._TAG_RESTART, r]) for r in range(count)]
+    rngs = [seeded_rng(config.seed, sm._TAG_RESTART, r) for r in range(count)]
     evals = 0
     x = np.empty((count, dim))
     for r, rng in enumerate(rngs):
         while True:
             x[r] = np.concatenate([rng.standard_normal(6 * m), rng.uniform(0.0, 1.0, m)])
             evals += 1
-            tables, solved = sm._state_tables(x[r : r + 1], w_ab, m, config.rho_min)
+            tables, solved = sm._state_tables(x[r : r + 1], w_ab, m, DEFAULT_RHO_MIN)
             if solved[0] and sm._scores(tables, np.array([math.inf]))[0][0] > -np.inf:
                 break
     queues = [[] for _ in range(count)]
@@ -149,7 +152,7 @@ def stepwise_climb(settings, config, retire=True):
             queues[r] = list(zip(index, normal))
         return queues[r].pop(0)
 
-    current, _ = sm._state_tables(x, w_ab, m, config.rho_min)
+    current, _ = sm._state_tables(x, w_ab, m, DEFAULT_RHO_MIN)
     ladder = [sm._SHARPNESS_BASE * 2.0**k for k in range(sm._SHARPNESS_DOUBLINGS)]
     ladder.append(math.inf)
     beta = ladder[0]
@@ -180,8 +183,8 @@ def stepwise_climb(settings, config, retire=True):
             candidate = x[[live[i] for i in scored]]
             for row, i in enumerate(scored):
                 index, normal = moves[i]
-                candidate[row, index] += config.step_scale * factor[live[i]] * normal
-            tables, solved = sm._state_tables(candidate, w_ab, m, config.rho_min)
+                candidate[row, index] += sm._STEP_SCALE * factor[live[i]] * normal
+            tables, solved = sm._state_tables(candidate, w_ab, m, DEFAULT_RHO_MIN)
             new_score, new_v = sm._scores(tables.copy(), np.full(len(scored), beta))
             for row, i in enumerate(scored):
                 accepted[i] = solved[row] and new_score[row] > score[live[i]]
@@ -204,7 +207,7 @@ def stepwise_climb(settings, config, retire=True):
             else:
                 streak[r] = 0
                 rejections[r] += 1
-                if rejections[r] >= config.patience:
+                if rejections[r] >= sm._PATIENCE:
                     factor[r] *= 0.5
                     rejections[r] = 0
     return best_v, best_x, evals
@@ -213,15 +216,14 @@ def stepwise_climb(settings, config, retire=True):
 @pytest.mark.parametrize(
     "n, m, restarts", [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3)]
 )
-def test_block_climb_matches_stepwise_reference(n, m, restarts):
-    # patience 7 halves the step factor often enough that blocks end on
-    # halvings, restarts run out early, and blocks meet the rung ends.
+def test_block_climb_matches_stepwise_reference(monkeypatch, n, m, restarts):
+    # A patience of 7 halves the step factor often enough that blocks end
+    # on halvings, restarts run out early, and blocks meet the rung ends.
     # At (1, 4, 3) restart 1 reaches V = 1, so restart 2 retires while
     # restart 0 climbs on.
+    monkeypatch.setattr(search_module, "_PATIENCE", 7)
     settings = SettingsEnsemble.random(n, np.random.default_rng([107, n, m]))
-    cfg = SearchConfig(
-        n_settings=n, m_states=m, inner_iters=300, restarts=restarts, patience=7, seed=5
-    )
+    cfg = SearchConfig(n_settings=n, m_states=m, inner_iters=300, restarts=restarts, seed=5)
     best_v, best_x, evals = search_module._climb(settings, cfg)
     ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
     assert np.array_equal(best_v, ref_v)
