@@ -48,9 +48,8 @@ from .errors import (
 from .estimate import VisibilityEstimate
 from .inequalities import (
     BellConfiguration,
-    BellThresholdResult,
     ChshConfiguration,
-    ChshThresholdResult,
+    ThresholdResult,
     aligned_chsh_configuration,
     bell_lhs,
     bell_threshold_numeric,
@@ -78,9 +77,7 @@ from .search import (
 __all__ = [
     "__version__",
     "BellConfiguration",
-    "BellThresholdResult",
     "ChshConfiguration",
-    "ChshThresholdResult",
     "ConstructionFailureError",
     "DEFAULT_RHO_MIN",
     "Direction",
@@ -95,6 +92,7 @@ __all__ = [
     "ResourceLimitError",
     "SearchConfig",
     "SettingsEnsemble",
+    "ThresholdResult",
     "ValidationReport",
     "VisibilityEstimate",
     "aligned_chsh_configuration",

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Direction, legendre, require_outcome, require_visibility
+from .core import as_direction, legendre, require_outcome, require_visibility
 from .errors import InvalidInputError, InvalidModelError
 
 # A response value this far below zero is treated as a genuine
@@ -33,6 +33,9 @@ POSITIVITY_TOL = 1e-12
 # are affine in x so the endpoints alone decide validity; the interior
 # points guard higher-degree coefficient lists.
 _GRID = np.linspace(-1.0, 1.0, 1001)
+
+# Width of the bracket validity_flip_visibility bisects down to.
+_FLIP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,13 +101,9 @@ def response(model: LegendreLhvModel, m: int, n, lam, side: str = "a") -> float:
             "model is not a probability response (needs c_0 = 1/2, zero even "
             "coefficients beyond c_0, and f >= 0 on [-1, 1])"
         )
-    if not isinstance(n, Direction):
-        n = Direction.from_array(n)
-    if not isinstance(lam, Direction):
-        lam = Direction.from_array(lam)
     if side == "b":
         m = -m
-    return float(model.evaluate(m * n.dot(lam)))
+    return float(model.evaluate(m * as_direction(n).dot(as_direction(lam))))
 
 
 def model_for_visibility(v: float) -> LegendreLhvModel:
@@ -120,11 +119,7 @@ def reconstruct_joint(model: LegendreLhvModel, m: int, m2: int, a, b) -> float:
     """Joint probability of the model: sum_j c_j^2/(2j+1) P_j(-m m' a.b)."""
     m = require_outcome(m)
     m2 = require_outcome(m2)
-    if not isinstance(a, Direction):
-        a = Direction.from_array(a)
-    if not isinstance(b, Direction):
-        b = Direction.from_array(b)
-    x = -m * m2 * a.dot(b)
+    x = -m * m2 * as_direction(a).dot(as_direction(b))
     x = min(1.0, max(-1.0, x))
     total = 0.0
     for j, c in enumerate(model.coefficients):
@@ -138,18 +133,16 @@ def analytic_threshold() -> float:
     return 1.0 / 3.0
 
 
-def validity_flip_visibility(tol: float = 1e-12) -> float:
+def validity_flip_visibility() -> float:
     """Locate by bisection the visibility where model validity flips.
 
     model_for_visibility(v) is valid for low v and invalid for high v;
-    the returned value brackets the flip within ``tol``.
+    the returned value brackets the flip within _FLIP_TOL.
     """
-    if tol <= 0.0:
-        raise InvalidInputError(f"tolerance must be > 0, got {tol!r}")
     lo, hi = 0.0, 1.0
     if not model_for_visibility(lo).is_valid or model_for_visibility(hi).is_valid:
         raise InvalidModelError("validity is not bracketed on [0, 1]")
-    while hi - lo > tol:
+    while hi - lo > _FLIP_TOL:
         mid = 0.5 * (lo + hi)
         if model_for_visibility(mid).is_valid:
             lo = mid

@@ -74,8 +74,6 @@ class RunRecord:
     command: str
     config: dict
     estimates: tuple
-    wall_time_s: float
-    version: str
     seed: int
     details: dict
 
@@ -84,8 +82,8 @@ class RunRecord:
             "command": self.command,
             "config": dict(self.config),
             "estimates": [e.to_dict() for e in self.estimates],
-            "wall_time_s": self.wall_time_s,
-            "version": self.version,
+            "wall_time_s": 0.0,
+            "version": __version__,
             "seed": self.seed,
             "details": dict(self.details),
         }
@@ -162,6 +160,17 @@ def parse_scan(text: str) -> list:
     return [start + i * step for i in range(count)]
 
 
+def _settings(args, seed: int, count, flag: str) -> SettingsEnsemble:
+    """The --settings file or `count` seeded random settings; exactly one must be given."""
+    if (args.settings is None) == (count is None):
+        raise InvalidInputError(f"{args.command} needs exactly one of --settings or {flag}")
+    if args.settings is not None:
+        return load_settings(args.settings)
+    if count < 1:
+        raise InvalidInputError(f"{flag} must be >= 1, got {count}")
+    return SettingsEnsemble.random(count, seeded_rng(seed, _TAG_CLI_SETTINGS))
+
+
 def _cmd_analytic(args, seed: int):
     threshold = analytic_threshold()
     model = model_for_visibility(threshold)
@@ -185,7 +194,7 @@ def _cmd_analytic(args, seed: int):
     ]
     lines += [f"  v={v:.6f}  {'valid' if ok else 'invalid'}" for v, ok in scan]
     config = {"seed": seed, "scan": args.scan}
-    return RunRecord("analytic", config, (estimate,), 0.0, __version__, seed, details), lines, EXIT_OK
+    return RunRecord("analytic", config, (estimate,), seed, details), lines, EXIT_OK
 
 
 def _cmd_search(args, seed: int):
@@ -243,24 +252,15 @@ def _cmd_search(args, seed: int):
         "outer_iters": config.outer_iters, "restarts": config.restarts,
         "seed": seed, "extrapolate": bool(args.extrapolate),
     }
-    record = RunRecord("search", config_dict, tuple(estimates), 0.0, __version__, seed, details)
+    record = RunRecord("search", config_dict, tuple(estimates), seed, details)
     return record, lines, exit_code
 
 
 def _cmd_oracle(args, seed: int):
-    if (args.settings is None) == (args.random is None):
-        raise InvalidInputError("oracle needs exactly one of --settings or --random")
-    if args.settings is not None:
-        settings = load_settings(args.settings)
-        source = args.settings
-    else:
-        if args.random < 1:
-            raise InvalidInputError(f"--random must be >= 1, got {args.random}")
-        settings = SettingsEnsemble.random(args.random, seeded_rng(seed, _TAG_CLI_SETTINGS))
-        source = "random"
+    settings = _settings(args, seed, args.random, "--random")
     estimate = max_visibility_lp(settings)
     details = {
-        "settings_source": source,
+        "settings_source": args.settings or "random",
         "n_settings": settings.n_settings,
         "gram": settings.gram.tolist(),
     }
@@ -269,7 +269,7 @@ def _cmd_oracle(args, seed: int):
         f"(LP, {estimate.iterations_used} pivots)"
     ]
     config = {"settings": args.settings, "random": args.random, "seed": seed}
-    return RunRecord("oracle", config, (estimate,), 0.0, __version__, seed, details), lines, EXIT_OK
+    return RunRecord("oracle", config, (estimate,), seed, details), lines, EXIT_OK
 
 
 def _cmd_bell(args, seed: int):
@@ -290,7 +290,7 @@ def _cmd_bell(args, seed: int):
         f"|a + c - b| at optimum: {details['closure_norm']:.6f}",
     ]
     config = {"seed": seed}
-    record = RunRecord("bell", config, (result.estimate(),), 0.0, __version__, seed, details)
+    record = RunRecord("bell", config, (result.estimate(),), seed, details)
     return record, lines, EXIT_OK
 
 
@@ -312,19 +312,12 @@ def _cmd_chsh(args, seed: int):
         f"phi at optimum: {cfg.phi:.6f} rad",
     ]
     config = {"seed": seed}
-    record = RunRecord("chsh", config, (result.estimate(),), 0.0, __version__, seed, details)
+    record = RunRecord("chsh", config, (result.estimate(),), seed, details)
     return record, lines, EXIT_OK
 
 
 def _cmd_construct(args, seed: int):
-    if args.settings is not None:
-        settings = load_settings(args.settings)
-    else:
-        if args.n is None:
-            raise InvalidInputError("construct needs --settings or --n")
-        if args.n < 1:
-            raise InvalidInputError(f"--n must be >= 1, got {args.n}")
-        settings = SettingsEnsemble.random(args.n, seeded_rng(seed, _TAG_CLI_SETTINGS))
+    settings = _settings(args, seed, args.n, "--n")
     if args.m < 4:
         raise InvalidInputError(f"--m must be >= 4, got {args.m}")
     rho = floor_normalized_weights(seeded_rng(seed, _TAG_CLI_WEIGHTS).uniform(0.0, 1.0, args.m))
@@ -354,7 +347,7 @@ def _cmd_construct(args, seed: int):
         f"passed: {report.passed}",
     ]
     config = {"n": args.n, "m": args.m, "settings": args.settings, "seed": seed}
-    record = RunRecord("construct", config, (estimate,), 0.0, __version__, seed, details)
+    record = RunRecord("construct", config, (estimate,), seed, details)
     return record, lines, EXIT_OK if report.passed else EXIT_PARTIAL
 
 
@@ -369,16 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--json", action="store_true", help="print a JSON run record")
     common.add_argument("--out", default=None, help="write estimates to this CSV file")
-    common.add_argument("--long", action="store_true",
-                        help="allow search sweeps over a work limit: " + ", ".join(
-                            f"{limit:.3g} {name}" for name, limit in SEARCH_WORK_LIMITS.items()
-                        ))
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", parents=[common],
                        help="exact threshold with positivity evidence")
     p.add_argument("--scan", default=None, help="visibility scan start:stop:step")
+    p.set_defaults(run=_cmd_analytic)
 
     p = sub.add_parser("search", parents=[common], help="Monte-Carlo max-min sweep over N")
     p.add_argument("--n", required=True, help="comma-separated settings counts, ascending")
@@ -388,18 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--extrapolate", action="store_true",
                    help="append the fitted N->infinity limit")
+    p.add_argument("--long", action="store_true",
+                   help="allow sweeps over a work limit: " + ", ".join(
+                       f"{limit:.3g} {name}" for name, limit in SEARCH_WORK_LIMITS.items()
+                   ))
+    p.set_defaults(run=_cmd_search)
 
     p = sub.add_parser("oracle", parents=[common], help="exact LP visibility for settings")
     p.add_argument("--settings", default=None, help="JSON settings file")
     p.add_argument("--random", type=int, default=None, help="use N random settings")
+    p.set_defaults(run=_cmd_oracle)
 
-    sub.add_parser("bell", parents=[common], help="numeric Bell threshold (2/3)")
-    sub.add_parser("chsh", parents=[common], help="numeric CHSH threshold (1/sqrt(2))")
+    p = sub.add_parser("bell", parents=[common], help="numeric Bell threshold (2/3)")
+    p.set_defaults(run=_cmd_bell)
+    p = sub.add_parser("chsh", parents=[common], help="numeric CHSH threshold (1/sqrt(2))")
+    p.set_defaults(run=_cmd_chsh)
 
     p = sub.add_parser("construct", parents=[common], help="one-shot assemble and validate")
     p.add_argument("--n", type=int, default=None, help="random settings count")
     p.add_argument("--m", type=int, default=4, help="hidden states (default 4)")
     p.add_argument("--settings", default=None, help="JSON settings file")
+    p.set_defaults(run=_cmd_construct)
 
     return parser
 
@@ -415,18 +414,7 @@ def main(argv=None) -> int:
         seed = args.seed
         if seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {seed}")
-        if args.command == "analytic":
-            record, lines, code = _cmd_analytic(args, seed)
-        elif args.command == "search":
-            record, lines, code = _cmd_search(args, seed)
-        elif args.command == "oracle":
-            record, lines, code = _cmd_oracle(args, seed)
-        elif args.command == "bell":
-            record, lines, code = _cmd_bell(args, seed)
-        elif args.command == "chsh":
-            record, lines, code = _cmd_chsh(args, seed)
-        else:
-            record, lines, code = _cmd_construct(args, seed)
+        record, lines, code = args.run(args, seed)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -268,8 +268,8 @@ def biorthogonalize(q: np.ndarray, t_raw: np.ndarray) -> np.ndarray:
     return t
 
 
-def make_frame(rho: Sequence[float], seed: int, rho_min: float = DEFAULT_RHO_MIN) -> AuxiliaryFrame:
-    """Sample a random auxiliary frame over the given weights.
+def make_frame(rho: Sequence[float], seed: int) -> AuxiliaryFrame:
+    """Sample a random auxiliary frame over weights of at least DEFAULT_RHO_MIN.
 
     Draws 6 Gaussian M-vectors, projects out the sqrt(rho) direction,
     and biorthogonalizes t against q.  A singular cross-Gram (measure
@@ -281,10 +281,8 @@ def make_frame(rho: Sequence[float], seed: int, rho_min: float = DEFAULT_RHO_MIN
         raise InvalidInputError(
             f"need at least 4 hidden-state weights, got shape {rho_arr.shape}"
         )
-    if not (0.0 < rho_min <= 1.0 / rho_arr.shape[0]):
-        raise InvalidInputError(f"rho_min must lie in (0, 1/M], got {rho_min!r}")
-    if np.any(rho_arr < rho_min * (1.0 - 1e-12)):
-        raise InvalidInputError("every weight must be at least rho_min")
+    if np.any(rho_arr < DEFAULT_RHO_MIN * (1.0 - 1e-12)):
+        raise InvalidInputError(f"every weight must be at least {DEFAULT_RHO_MIN}")
     if abs(float(np.sum(rho_arr)) - 1.0) > _SIMPLEX_TOL:
         raise InvalidInputError("weights must sum to 1")
     srho = np.sqrt(rho_arr)

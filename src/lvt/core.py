@@ -90,7 +90,8 @@ class Direction:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
 
-def _as_direction(obj) -> Direction:
+def as_direction(obj) -> Direction:
+    """``obj`` itself if it is a Direction, else the Direction of its 3 components."""
     if isinstance(obj, Direction):
         return obj
     return Direction.from_array(obj)
@@ -105,16 +106,14 @@ def quantum_joint(m: int, m2: int, a, b, v: float) -> float:
     m = require_outcome(m)
     m2 = require_outcome(m2)
     v = require_visibility(v)
-    a = _as_direction(a)
-    b = _as_direction(b)
-    return (1.0 - m * m2 * v * a.dot(b)) / 4.0
+    return (1.0 - m * m2 * v * as_direction(a).dot(as_direction(b))) / 4.0
 
 
 def quantum_marginal(m: int, a, v: float) -> float:
     """Single-side outcome probability; always 1/2 (the correlation cancels)."""
     require_outcome(m)
     require_visibility(v)
-    _as_direction(a)
+    as_direction(a)
     return 0.5
 
 

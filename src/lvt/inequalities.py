@@ -11,7 +11,9 @@ reduces it to 2 sqrt(2) V sin(phi/2 + pi/4) <= 2 in the angle phi
 between b and b', maximal at phi = pi/2, giving V = 1/sqrt(2).
 
 Both maxima are also located numerically by multi-start simplex search
-over the direction parameters, cross-checking the closed forms.
+over the direction parameters, cross-checking the closed forms; each
+search returns a ThresholdResult.  The search and bell_lhs / chsh_lhs
+evaluate the same expression, written once at V = 1.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Direction, require_visibility, seeded_rng
+from .core import Direction, as_direction, require_visibility, seeded_rng
 from .errors import InvalidInputError
 from .estimate import VisibilityEstimate
 
-
-def _coerce(d) -> Direction:
-    return d if isinstance(d, Direction) else Direction.from_array(d)
+# Local simplex searches per numeric threshold.
+_STARTS = 64
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,8 @@ class BellConfiguration:
     c: Direction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _coerce(self.a))
-        object.__setattr__(self, "b", _coerce(self.b))
-        object.__setattr__(self, "c", _coerce(self.c))
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, as_direction(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -56,26 +56,37 @@ class ChshConfiguration:
 
     def __post_init__(self) -> None:
         for name in ("a", "a2", "b", "b2"):
-            object.__setattr__(self, name, _coerce(getattr(self, name)))
+            object.__setattr__(self, name, as_direction(getattr(self, name)))
 
     @property
     def phi(self) -> float:
         return math.acos(min(1.0, max(-1.0, self.b.dot(self.b2))))
 
 
+def _bell_expression(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """(3 - |a+c-b|^2)/2, the Bell left side at V = 1."""
+    vec = a + c - b
+    return (3.0 - float(vec @ vec)) / 2.0
+
+
+def _chsh_expression(a: np.ndarray, a2: np.ndarray, b: np.ndarray, b2: np.ndarray) -> float:
+    """(|a+b2-b|^2 + |a2-b2-b|^2 - 6)/2, the CHSH left side at V = 1."""
+    first = a + b2 - b
+    second = a2 - b2 - b
+    return (float(first @ first) + float(second @ second) - 6.0) / 2.0
+
+
 def bell_lhs(cfg: BellConfiguration, v: float) -> float:
     """(V/2)(3 - |a+c-b|^2); the Bell bound is violated iff this exceeds 1."""
     v = require_visibility(v)
-    vec = cfg.a.as_array() + cfg.c.as_array() - cfg.b.as_array()
-    return (v / 2.0) * (3.0 - float(vec @ vec))
+    return v * _bell_expression(cfg.a.as_array(), cfg.b.as_array(), cfg.c.as_array())
 
 
 def chsh_lhs(cfg: ChshConfiguration, v: float) -> float:
     """(V/2)(|a+b2-b|^2 + |a2-b2-b|^2 - 6); violated iff this exceeds 2."""
     v = require_visibility(v)
-    first = cfg.a.as_array() + cfg.b2.as_array() - cfg.b.as_array()
-    second = cfg.a2.as_array() - cfg.b2.as_array() - cfg.b.as_array()
-    return (v / 2.0) * (float(first @ first) + float(second @ second) - 6.0)
+    dirs = (cfg.a, cfg.a2, cfg.b, cfg.b2)
+    return v * _chsh_expression(*(d.as_array() for d in dirs))
 
 
 def aligned_chsh_configuration(b, b2) -> ChshConfiguration:
@@ -84,8 +95,8 @@ def aligned_chsh_configuration(b, b2) -> ChshConfiguration:
     a points along b2 - b and a2 along -(b + b2); undefined when b and
     b2 are (anti)parallel.
     """
-    b = _coerce(b)
-    b2 = _coerce(b2)
+    b = as_direction(b)
+    b2 = as_direction(b2)
     diff = b2.as_array() - b.as_array()
     total = b.as_array() + b2.as_array()
     diff_norm = float(np.linalg.norm(diff))
@@ -121,61 +132,43 @@ def _directions_from_params(params: np.ndarray) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class BellThresholdResult:
-    """Numeric maximization outcome for the Bell bound."""
+class ThresholdResult:
+    """Numeric maximization outcome for the Bell or the CHSH bound."""
 
     threshold: float
-    configuration: BellConfiguration
+    configuration: BellConfiguration | ChshConfiguration
     max_expression: float
     iterations_used: int
     seed: int
+    provenance: str
+    n_settings: int
 
     def estimate(self) -> VisibilityEstimate:
         return VisibilityEstimate(
             value=self.threshold,
             std_error=0.0,
-            n_settings=3,
-            provenance="bell",
+            n_settings=self.n_settings,
+            provenance=self.provenance,
             seed=self.seed,
             iterations_used=self.iterations_used,
         )
 
 
-@dataclass(frozen=True)
-class ChshThresholdResult:
-    """Numeric maximization outcome for the CHSH bound."""
+def _multi_start_maximize(objective, n_dirs: int, max_iterations: int, seed: int):
+    """Best of _STARTS local simplex searches over spherical coordinates.
 
-    threshold: float
-    configuration: ChshConfiguration
-    max_expression: float
-    iterations_used: int
-    seed: int
-
-    def estimate(self) -> VisibilityEstimate:
-        return VisibilityEstimate(
-            value=self.threshold,
-            std_error=0.0,
-            n_settings=2,
-            provenance="chsh",
-            seed=self.seed,
-            iterations_used=self.iterations_used,
-        )
-
-
-def _multi_start_maximize(objective, n_dirs: int, starts: int, max_iterations: int, seed: int):
-    """Best of `starts` local simplex searches over spherical coordinates."""
-    if starts < 1 or max_iterations < 1:
-        raise InvalidInputError("optimizer budget must be >= 1 start and iteration")
+    Returns the best value, its unit directions and the evaluation count.
+    """
     rng = seeded_rng(seed, 5)
     best_value = -math.inf
     best_params = None
     evaluations = 0
-    for _ in range(starts):
+    for _ in range(_STARTS):
         x0 = np.empty(2 * n_dirs)
         x0[0::2] = np.arccos(rng.uniform(-1.0, 1.0, n_dirs))
         x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, n_dirs)
         result = minimize(
-            lambda p: -objective(_directions_from_params(p)),
+            lambda p: -objective(*_directions_from_params(p)),
             x0,
             method="Nelder-Mead",
             options={"maxiter": max_iterations, "xatol": 1e-9, "fatol": 1e-12},
@@ -184,54 +177,33 @@ def _multi_start_maximize(objective, n_dirs: int, starts: int, max_iterations: i
         if -result.fun > best_value:
             best_value = -result.fun
             best_params = result.x
-    return float(best_value), _directions_from_params(best_params), evaluations
+    dirs = [d / np.linalg.norm(d) for d in _directions_from_params(best_params)]
+    return float(best_value), dirs, evaluations
 
 
-def bell_threshold_numeric(
-    starts: int = 64, max_iterations: int = 1200, seed: int = 0
-) -> BellThresholdResult:
+def bell_threshold_numeric(seed: int = 0) -> ThresholdResult:
     """Maximize (3 - |a+c-b|^2)/2 over unit a, b, c; threshold is 1/max."""
-
-    def expression(dirs):
-        vec = dirs[0] + dirs[2] - dirs[1]
-        return (3.0 - float(vec @ vec)) / 2.0
-
-    best, dirs, evaluations = _multi_start_maximize(expression, 3, starts, max_iterations, seed)
-    cfg = BellConfiguration(
-        a=Direction.from_array(dirs[0] / np.linalg.norm(dirs[0])),
-        b=Direction.from_array(dirs[1] / np.linalg.norm(dirs[1])),
-        c=Direction.from_array(dirs[2] / np.linalg.norm(dirs[2])),
-    )
-    return BellThresholdResult(
+    best, dirs, evaluations = _multi_start_maximize(_bell_expression, 3, 1200, seed)
+    return ThresholdResult(
         threshold=1.0 / best,
-        configuration=cfg,
+        configuration=BellConfiguration(*dirs),
         max_expression=best,
         iterations_used=evaluations,
         seed=int(seed),
+        provenance="bell",
+        n_settings=3,
     )
 
 
-def chsh_threshold_numeric(
-    starts: int = 64, max_iterations: int = 1600, seed: int = 0
-) -> ChshThresholdResult:
+def chsh_threshold_numeric(seed: int = 0) -> ThresholdResult:
     """Maximize the CHSH quartet expression; threshold is 2/max."""
-
-    def expression(dirs):
-        first = dirs[0] + dirs[3] - dirs[2]
-        second = dirs[1] - dirs[3] - dirs[2]
-        return (float(first @ first) + float(second @ second) - 6.0) / 2.0
-
-    best, dirs, evaluations = _multi_start_maximize(expression, 4, starts, max_iterations, seed)
-    cfg = ChshConfiguration(
-        a=Direction.from_array(dirs[0] / np.linalg.norm(dirs[0])),
-        a2=Direction.from_array(dirs[1] / np.linalg.norm(dirs[1])),
-        b=Direction.from_array(dirs[2] / np.linalg.norm(dirs[2])),
-        b2=Direction.from_array(dirs[3] / np.linalg.norm(dirs[3])),
-    )
-    return ChshThresholdResult(
+    best, dirs, evaluations = _multi_start_maximize(_chsh_expression, 4, 1600, seed)
+    return ThresholdResult(
         threshold=2.0 / best,
-        configuration=cfg,
+        configuration=ChshConfiguration(*dirs),
         max_expression=best,
         iterations_used=evaluations,
         seed=int(seed),
+        provenance="chsh",
+        n_settings=2,
     )

@@ -234,10 +234,8 @@ def _scores(tables: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return score, visibility
 
 
-def state_to_model(
-    x: np.ndarray, settings: SettingsEnsemble, config: SearchConfig
-) -> DiscreteLhvModel:
-    """Materialize the discrete model a search state encodes.
+def state_to_model(x: np.ndarray, settings: SettingsEnsemble) -> DiscreteLhvModel:
+    """Materialize the discrete model a length-7M search state encodes.
 
     Re-applies the exact projections and table formulas, then balances
     the q/t scale: with both tables normalized by their own largest
@@ -247,10 +245,10 @@ def state_to_model(
     validate_model rather than by frame-level checks that would bind
     those unconstrained rows.
     """
-    m = config.m_states
     x = np.asarray(x, dtype=float)
-    if x.shape != (7 * m,):
-        raise InvalidInputError(f"state must have length {7 * m}, got shape {x.shape}")
+    m = x.size // 7
+    if m < 4 or x.shape != (7 * m,):
+        raise InvalidInputError(f"state must have length 7M with M >= 4, got shape {x.shape}")
     rho = floor_normalized_weights(x[6 * m :])
     srho = np.sqrt(rho)
     q = project_out(x[: 3 * m].reshape(3, m), srho)
@@ -480,7 +478,7 @@ def inner_maximize(
         )
     best_v, best_x, evals = _climb(settings, config)
     best_index = min(range(config.restarts), key=lambda r: (-best_v[r], r))
-    model = state_to_model(best_x[best_index], settings, config)
+    model = state_to_model(best_x[best_index], settings)
     model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
     estimate = VisibilityEstimate(
         value=model.visibility,
@@ -641,8 +639,6 @@ def extrapolate(estimates: Sequence[VisibilityEstimate]) -> VisibilityEstimate:
     the fit-derived uncertainty.
     """
     ests = list(estimates)
-    if len(ests) < 3 or len({e.n_settings for e in ests}) < 3:
-        raise InvalidInputError("extrapolation needs at least 3 estimates with distinct N")
     if any(e.n_settings < 1 for e in ests):
         raise InvalidInputError("extrapolation inputs must have n_settings >= 1")
     fit = fit_power_law([e.n_settings for e in ests], [e.value for e in ests])

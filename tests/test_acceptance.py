@@ -160,7 +160,7 @@ def test_criterion_4_constructive_soundness():
         m = int(rng.integers(4, 17))
         settings = SettingsEnsemble.random(n, rng)
         rho = floor_normalized_weights(rng.uniform(0.0, 1.0, m), 1e-6)
-        frame = make_frame(rho, int(rng.integers(0, 2**32)), rho_min=1e-6)
+        frame = make_frame(rho, int(rng.integers(0, 2**32)))
         model = assemble_model(settings, frame)
         report_card = validate_model(model, settings, tol=1e-9)
         if not report_card.passed:

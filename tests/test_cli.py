@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import lvt
 from lvt.cli import (
     CSV_COLUMNS,
     EXIT_OK,
@@ -200,7 +201,7 @@ def test_oracle_n9_runs_without_long_flag(capsys):
 
 
 def test_oracle_hard_cap_is_resource_error(capsys):
-    code, _, err = run_cli(capsys, ["oracle", "--random", "13", "--long"])
+    code, _, err = run_cli(capsys, ["oracle", "--random", "13"])
     assert code == EXIT_RESOURCE
 
 
@@ -241,7 +242,7 @@ def test_construct_json_reports_validation_block(capsys, tmp_path):
     assert abs(sum(record["details"]["rho"]) - 1.0) < 1e-12
 
 
-def test_construct_usage_errors(capsys):
+def test_construct_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["construct"])
     assert code == EXIT_USAGE
     assert "--settings or --n" in err
@@ -249,20 +250,48 @@ def test_construct_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, ["construct", "--n", "0"])
     assert code == EXIT_USAGE
+    path = write_settings(tmp_path / "s.json", [[0, 0, 1]], [[0, 0, 1]])
+    code, _, err = run_cli(capsys, ["construct", "--settings", path, "--n", "3"])
+    assert code == EXIT_USAGE
+    assert "needs exactly one of --settings or --n" in err
 
 
-# The climb's step scale, patience and weight floor are fixed, and the
-# seed comes only from --seed.
+# The climb's step scale, patience and weight floor are fixed, the seed
+# comes only from --seed, and only search has a work gate to lift.
 @pytest.mark.parametrize("argv", [
     ["search", "--n", "2", "--step", "0.5"],
     ["search", "--n", "2", "--patience", "7"],
     ["search", "--n", "2", "--rho-min", "0.01"],
     ["construct", "--n", "3", "--rho-min", "0.01"],
+    ["analytic", "--long"],
+    ["oracle", "--random", "3", "--long"],
+    ["bell", "--long"],
+    ["chsh", "--long"],
+    ["construct", "--n", "3", "--long"],
 ])
 def test_removed_settings_are_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == EXIT_USAGE
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic"],
+    ["search", "--n", "2"] + TINY_SEARCH,
+    ["oracle", "--random", "2"],
+    ["bell"],
+    ["chsh"],
+    ["construct", "--n", "2"],
+])
+def test_json_record_keys(capsys, argv):
+    code, out, _ = run_cli(capsys, argv + ["--json"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert sorted(record) == [
+        "command", "config", "details", "estimates", "seed", "version", "wall_time_s",
+    ]
+    assert record["version"] == lvt.__version__
+    assert record["wall_time_s"] == 0.0
 
 
 def test_seed_env_var_is_ignored(capsys, monkeypatch):

@@ -51,6 +51,16 @@ def test_three_setting_threshold():
     assert est.n_settings == 3
 
 
+def test_numeric_maxima_match_the_lhs_at_full_visibility():
+    # The searches and bell_lhs / chsh_lhs share one expression; the
+    # reported configuration is the optimum renormalized, so the two
+    # agree to round-off.
+    bell = bell_threshold_numeric(seed=0)
+    assert abs(bell_lhs(bell.configuration, 1.0) - bell.max_expression) < 1e-12
+    chsh = chsh_threshold_numeric(seed=0)
+    assert abs(chsh_lhs(chsh.configuration, 1.0) - chsh.max_expression) < 1e-12
+
+
 def test_four_setting_closed_form_value():
     rng = np.random.default_rng(7)
     cfg = ChshConfiguration(

@@ -70,7 +70,6 @@ def test_kernel_value_matches_rebuilt_model(n, m):
     # exact visibility, and the rebuilt model must certify it.
     rng = np.random.default_rng([89, n, m])
     settings = SettingsEnsemble.random(n, rng)
-    cfg = SearchConfig(n_settings=n, m_states=m)
     svd = gram_svd(settings)
     w_ab = np.stack([svd.u * np.sqrt(svd.p), svd.v * np.sqrt(svd.p)])
     x = np.concatenate([rng.standard_normal((40, 6 * m)), rng.uniform(size=(40, m))], axis=1)
@@ -78,7 +77,7 @@ def test_kernel_value_matches_rebuilt_model(n, m):
     assert solved.all()
     _, values = search_module._scores(tables, np.full(40, math.inf))
     for state, value in zip(x, values):
-        model = state_to_model(state, settings, cfg)
+        model = state_to_model(state, settings)
         assert abs(model.visibility - value) < 1e-9
         assert validate_model(model, settings, 1e-8).passed
 
@@ -114,7 +113,7 @@ def test_m4_model_keeps_zero_marginals():
     svd = gram_svd(settings)
     b_raw = (svd.v * np.sqrt(svd.p)) @ (t / srho)
     assert np.max(np.abs(b_raw @ rho)) / np.max(np.abs(b_raw)) > 1e-8
-    model = state_to_model(x, settings, cfg)
+    model = state_to_model(x, settings)
     assert validate_model(model, settings, 1e-8).passed
     assert np.max(np.abs(model.b_table @ model.rho)) < 1e-12
 
