@@ -24,17 +24,17 @@ sign(Y^T a), with reduced gain ||Y^T a||_1 + mu.  Each strategy with a
 positive gain joins the master, which is solved again; once none is
 left the master's optimum is the optimum over all 2^(2N-1) strategies.
 Pricing scans only the 2^(N-1) gauge-fixed a, so no array ever holds
-every strategy column.
+every strategy column.  Each master runs through lvt.lp, presolve off.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .construct import SettingsEnsemble
 from .errors import InvalidInputError, LvtError, ResourceLimitError
 from .estimate import VisibilityEstimate
+from .lp import csc, maximize_last
 
 # Hard cap on settings per side; at N = 12 a solve took 12-24 s and
 # peaked at 270-350 MB on a 2-core machine.
@@ -44,14 +44,8 @@ MAX_ORACLE_SETTINGS = 12
 _PRICE_TOL = 1e-9
 # Random instances up to N = 12 converge in at most about 10 rounds.
 _MAX_ROUNDS = 200
-# Tight tolerances so HiGHS's duals price to well below _PRICE_TOL.
 # Presolve costs more than it saves on these dense masters (0.28 s
 # against 0.17 s at N = 8, 3.2 s against 2.3 s at N = 10).
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-    "presolve": False,
-}
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -73,18 +67,13 @@ def _solve_master(g: np.ndarray, a_cols: np.ndarray, b_cols: np.ndarray):
     a_eq[n * n, :count] = 1.0
     b_eq = np.zeros(n * n + 1)
     b_eq[-1] = 1.0
-    cost = np.zeros(count + 1)
-    cost[-1] = -1.0
-    bounds = np.zeros((count + 1, 2))
-    bounds[:, 1] = np.inf
-    bounds[-1, 1] = 1.0
-    result = linprog(
-        cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs", options=_HIGHS_OPTIONS
+    upper = np.full(count + 1, np.inf)
+    upper[-1] = 1.0
+    x, duals, nit = maximize_last(
+        csc(a_eq), b_eq, np.zeros(count + 1), upper,
+        presolve=False, failure="oracle master LP failed",
     )
-    if result.status != 0:
-        raise LvtError(f"oracle master LP failed: {result.message}")
-    duals = result.eqlin.marginals
-    return float(result.x[-1]), duals[: n * n].reshape(n, n), float(duals[-1]), int(result.nit)
+    return float(x[-1]), duals[: n * n].reshape(n, n), float(duals[-1]), nit
 
 
 def max_visibility_for_gram(gram) -> tuple[float, int]:

@@ -347,8 +347,10 @@ def _climb(
     score, best_v = _scores(_state_tables(x, w_ab, m, DEFAULT_RHO_MIN)[0], beta)
     best_x = x.copy()
 
+    # Per-restart counters are lists, cheaper than arrays to read singly.
+    score, best_v = score.tolist(), best_v.tolist()
     block = _block_moves(settings.n_settings, m)
-    factor = np.ones(count)
+    factor = [1.0] * count
     rejections = [0] * count
     streak = [0] * count
     steps = [0] * count
@@ -363,8 +365,8 @@ def _climb(
     # columns cursor[r] to filled[r].
     queue_index = np.empty((count, _DRAWS + block), dtype=np.intp)
     queue_step = np.empty((count, _DRAWS + block))
-    cursor = np.zeros(count, dtype=np.intp)
-    filled = np.zeros(count, dtype=np.intp)
+    cursor = [0] * count
+    filled = [0] * count
     while True:
         climbing = [
             r for r in range(count) if factor[r] >= _FACTOR_FLOOR and steps[r] < limit[r]
@@ -380,7 +382,7 @@ def _climb(
             if steps[r] > 0 and steps[r] % phase_len == 0 and phase < len(ladder):
                 beta[r] = ladder[phase]
                 tables, _ = _state_tables(x[r : r + 1], w_ab, m, DEFAULT_RHO_MIN)
-                score[r] = _scores(tables, beta[r : r + 1])[0][0]
+                score[r] = float(_scores(tables, beta[r : r + 1])[0][0])
             if phase + 1 < len(ladder):
                 rung_end = (phase + 1) * phase_len
             else:
@@ -399,12 +401,12 @@ def _climb(
                 cursor[r] = 0
                 filled[r] = rest + _DRAWS
             sizes.append(size)
-        owner = np.repeat(climbing, sizes)
+        owner = np.array(climbing).repeat(sizes)
         rows = np.arange(owner.shape[0])
-        column = cursor[owner] + rows - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        column = np.array(cursor)[owner] + rows - (np.cumsum(sizes) - sizes).repeat(sizes)
         move = queue_index[owner, column]
         candidate = x[owner]
-        candidate[rows, move] += _STEP_SCALE * factor[owner] * queue_step[owner, column]
+        candidate[rows, move] += _STEP_SCALE * np.array(factor)[owner] * queue_step[owner, column]
         total = rows.shape[0]
         improved = np.zeros(total, dtype=bool)
         new_score = np.empty(total)
@@ -414,26 +416,26 @@ def _climb(
             # t-half moves leave the tables unchanged: rejections, unscored.
             scored = (move < 3 * m) | (move >= 6 * m)
         if m > 4 or scored.any():
-            scored_owner = owner[scored]
             tables, solved = _state_tables(candidate[scored], w_ab, m, DEFAULT_RHO_MIN)
-            scores, values = _scores(tables, beta[scored_owner])
+            scores, values = _scores(tables, beta[owner[scored]])
             new_score[scored], new_v[scored] = scores, values
-            improved[scored] = solved & (scores > score[scored_owner])
+            improved[scored] = solved & (scores > np.array(score)[owner[scored]])
+        hits = improved.tolist()
         start = 0
         reached = math.inf  # steps taken by the lower-index restarts
         for r, size in zip(climbing, sizes):
             usable = max(0, min(size, limit[r] - steps[r], reached - steps[r]))
-            hits = np.flatnonzero(improved[start : start + usable])
-            taken = int(hits[0]) + 1 if hits.size else usable
+            hit = True in hits[start : start + usable]
+            taken = hits.index(True, start, start + usable) - start + 1 if hit else usable
             cursor[r] += taken
             steps[r] += taken
             evals += taken
-            if hits.size:
+            if hit:
                 i = start + taken - 1
                 x[r] = candidate[i]
-                score[r] = new_score[i]
+                score[r] = float(new_score[i])
                 if new_v[i] > best_v[r]:
-                    best_v[r] = new_v[i]
+                    best_v[r] = float(new_v[i])
                     best_x[r] = candidate[i]
                     if best_v[r] >= 1.0:
                         limit[r:] = [min(cap, steps[r]) for cap in limit[r:]]

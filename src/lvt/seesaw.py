@@ -42,7 +42,7 @@ vector, while rho . 1 = 1.  So t_j = V R^-1 h_j is the only solution,
 the single binding constraint is |T| <= 1, and V = min(1, 1/max|R^-1 H|)
 is the LP's exact optimum, from one linear solve.  At M = 4 and N >= 3
 the fixed side has rank 3, so every table step takes this path; HiGHS
-solves the table steps of larger M and every rho step.
+solves the table steps of larger M and every rho step, through lvt.lp.
 
 The finish never enumerates deterministic strategies and never calls
 the LP oracle, so comparing it with the oracle compares two
@@ -57,17 +57,9 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.optimize import linprog
 
 from .construct import DiscreteLhvModel, GramSvd, SettingsEnsemble, validate_model
-
-# HiGHS's default feasibility tolerance (1e-7) leaves residuals that the
-# exact rebuild would have to absorb as lost visibility.
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+from .lp import csc, maximize_last
 
 # Relative cutoffs: singular values spanning a fixed block, and the part
 # of the target outside that span beyond which only V = 0 is feasible.
@@ -109,16 +101,6 @@ def _outside(residual: np.ndarray, target: GramSvd) -> bool:
     return float(np.linalg.norm(residual)) > _SPAN_TOL * max(
         float(np.linalg.norm(target.p)), 1.0
     )
-
-
-def _maximize_v(a_eq, b_eq: np.ndarray, bounds: np.ndarray) -> Optional[np.ndarray]:
-    """Solve max V (the last variable) over a_eq x = b_eq and the bounds."""
-    cost = np.zeros(bounds.shape[0])
-    cost[-1] = -1.0
-    result = linprog(
-        cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs", options=_HIGHS_OPTIONS
-    )
-    return result.x if result.status == 0 else None
 
 
 def side_lp(
@@ -164,14 +146,13 @@ def side_lp(
     )
     data = np.concatenate([np.broadcast_to(block.T, (n, m, height)).ravel(), -rhs.ravel()])
     indptr = np.append(height * np.arange(n * m + 1), height * n * (m + 1))
-    a_eq = sparse.csc_matrix((data, indices, indptr), shape=(n * height, n * m + 1))
-    bounds = np.ones((n * m + 1, 2))
-    bounds[:, 0] = -1.0
-    bounds[-1, 0] = 0.0
-    x = _maximize_v(a_eq, np.zeros(n * height), bounds)
-    if x is None:
+    upper = np.ones(n * m + 1)
+    lower = -upper
+    lower[-1] = 0.0
+    solved = maximize_last((indptr, indices, data), np.zeros(n * height), lower, upper)
+    if solved is None:
         return None
-    return x[:-1].reshape(n, m), float(x[-1])
+    return solved[0][:-1].reshape(n, m), float(solved[0][-1])
 
 
 def weight_lp(
@@ -205,13 +186,12 @@ def weight_lp(
     v_column[: reduced.size] = -reduced.ravel()
     b_eq = np.zeros(rows.shape[0])
     b_eq[-1] = 1.0
-    bounds = np.zeros((m + 1, 2))
-    bounds[:, 1] = np.inf
-    bounds[-1, 1] = 1.0
-    x = _maximize_v(np.column_stack([rows, v_column]), b_eq, bounds)
-    if x is None:
+    upper = np.full(m + 1, np.inf)
+    upper[-1] = 1.0
+    solved = maximize_last(csc(np.column_stack([rows, v_column])), b_eq, np.zeros(m + 1), upper)
+    if solved is None:
         return None
-    return x[:-1], float(x[-1])
+    return solved[0][:-1], float(solved[0][-1])
 
 
 def _correct(

@@ -1,0 +1,125 @@
+"""lvt.lp against scipy.optimize.linprog(method="highs") at the same tolerances.
+
+lvt.lp calls HiGHS through SciPy's private binding, so these tests pin
+that coupling: a SciPy release that changes the binding or the settings
+linprog passes fails here.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+from scipy.optimize import linprog
+
+from lvt import LvtError, SettingsEnsemble, assemble_model, floor_normalized_weights, make_frame
+from lvt import lp as lp_module
+from lvt import oracle as oracle_module
+from lvt import seesaw as seesaw_module
+from lvt.oracle import max_visibility_for_gram
+from lvt.seesaw import side_lp, weight_lp
+
+
+def span_model(n, m, seed):
+    rng = np.random.default_rng(seed)
+    settings = SettingsEnsemble.random(n, rng)
+    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, m), 1e-6)
+    return settings, assemble_model(settings, make_frame(rho, seed))
+
+
+def recorded_lps(monkeypatch, module, run):
+    """The arguments of every maximize_last call module makes during run()."""
+    calls = []
+    real = module.maximize_last
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "maximize_last", recording)
+    run()
+    monkeypatch.setattr(module, "maximize_last", real)
+    assert calls
+    return calls
+
+
+def assert_matches_linprog(args, kwargs):
+    (indptr, indices, data), b_eq, lower, upper = args
+    a_eq = sparse.csc_matrix((data, indices, indptr), shape=(b_eq.shape[0], lower.shape[0]))
+    cost = np.zeros(lower.shape[0])
+    cost[-1] = -1.0
+    options = {
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+        "presolve": kwargs.get("presolve", True),
+    }
+    expected = linprog(
+        cost, A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]),
+        method="highs", options=options,
+    )
+    assert expected.status == 0
+    x, duals, nit = lp_module.maximize_last(*args, **kwargs)
+    assert np.array_equal(x, expected.x)
+    assert np.array_equal(duals, expected.eqlin.marginals)
+    assert nit == expected.nit
+
+
+def test_non_square_table_step_matches_linprog(monkeypatch):
+    settings, model = span_model(4, 10, 17)
+    calls = recorded_lps(
+        monkeypatch, seesaw_module,
+        lambda: side_lp(np.array(model.b_table), np.array(model.rho), settings.svd),
+    )
+    for args, kwargs in calls:
+        assert_matches_linprog(args, kwargs)
+
+
+def test_pooled_weight_lp_matches_linprog(monkeypatch):
+    settings, model = span_model(3, 8, 19)
+    rng = np.random.default_rng(5)
+    pool_a = np.column_stack([model.a_table, rng.choice((-1.0, 1.0), size=(3, 16))])
+    pool_b = np.column_stack([model.b_table, rng.choice((-1.0, 1.0), size=(3, 16))])
+    calls = recorded_lps(
+        monkeypatch, seesaw_module, lambda: weight_lp(pool_a, pool_b, settings.svd)
+    )
+    for args, kwargs in calls:
+        assert_matches_linprog(args, kwargs)
+
+
+# At N = 7 some masters' results move if either side's feasibility
+# tolerance changes (1e-9 against 1e-10), so a mismatch in it shows.
+@pytest.mark.parametrize("n", [6, 7])
+def test_oracle_master_matches_linprog(monkeypatch, n):
+    settings = SettingsEnsemble.random(n, np.random.default_rng(1))
+    calls = recorded_lps(
+        monkeypatch, oracle_module, lambda: max_visibility_for_gram(settings.gram)
+    )
+    assert all(kwargs["presolve"] is False for _, kwargs in calls)
+    for args, kwargs in calls:
+        assert_matches_linprog(args, kwargs)
+
+
+def test_csc_matches_scipy_sparse():
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((7, 5)) * (rng.uniform(size=(7, 5)) < 0.5)
+    dense[:, 2] = 0.0
+    expected = sparse.csc_matrix(dense)
+    indptr, indices, data = lp_module.csc(dense)
+    assert np.array_equal(indptr, expected.indptr)
+    assert np.array_equal(indices, expected.indices)
+    assert np.array_equal(data, expected.data)
+
+
+def test_infeasible_lp_returns_none():
+    # x0 = 1 and x0 = 2 at once.
+    columns = (np.array([0, 2, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
+    for presolve in (True, False):
+        solved = lp_module.maximize_last(
+            columns, np.array([1.0, 2.0]), np.zeros(2), np.full(2, 5.0), presolve=presolve
+        )
+        assert solved is None
+
+
+def test_failed_oracle_master_raises(monkeypatch):
+    monkeypatch.setattr(lp_module._OPTIONS[False], "simplex_iteration_limit", 0)
+    gram = SettingsEnsemble.random(4, np.random.default_rng(3)).gram
+    with pytest.raises(LvtError, match="oracle master LP failed: HiGHS model status"):
+        max_visibility_for_gram(gram)

@@ -213,7 +213,8 @@ def stepwise_climb(settings, config, retire=True):
 
 
 @pytest.mark.parametrize(
-    "n, m, restarts", [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3)]
+    "n, m, restarts",
+    [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3), (4, 4, 6), (2, 10, 3)],
 )
 def test_block_climb_matches_stepwise_reference(monkeypatch, n, m, restarts):
     # A patience of 7 halves the step factor often enough that blocks end

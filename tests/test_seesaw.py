@@ -106,7 +106,7 @@ def test_square_table_step_matches_highs(monkeypatch):
         raise AssertionError("a square table step reached HiGHS")
 
     cases = [span_model(4, 4, 29), span_model(7, 4, 31), finished_model(4, 5, 17)]
-    monkeypatch.setattr(seesaw_module, "linprog", no_lp)
+    monkeypatch.setattr(seesaw_module, "maximize_last", no_lp)
     capped = 0
     for settings, model in cases:
         steps = square_steps(settings, model)
@@ -200,13 +200,13 @@ def test_lp_rows_grow_with_n_not_n_squared(monkeypatch):
     n, m = 200, 4
     settings, start = span_model(n, m, 13)
     heights = []
-    real_linprog = seesaw_module.linprog
+    real_lp = seesaw_module.maximize_last
 
-    def recording_linprog(cost, A_eq, **kwargs):
-        heights.append(A_eq.shape[0])
-        return real_linprog(cost, A_eq=A_eq, **kwargs)
+    def recording_lp(columns, b_eq, *args, **kwargs):
+        heights.append(b_eq.shape[0])
+        return real_lp(columns, b_eq, *args, **kwargs)
 
-    monkeypatch.setattr(seesaw_module, "linprog", recording_linprog)
+    monkeypatch.setattr(seesaw_module, "maximize_last", recording_lp)
     finished = seesaw(start, settings, np.random.default_rng(4))
     assert heights
     assert max(heights) <= n * (m + 1)
