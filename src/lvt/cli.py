@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="Monte-Carlo max-min sweep over N")
     p.add_argument("--n", required=True, help="comma-separated settings counts, ascending")
     p.add_argument("--m", type=int, default=4, help="hidden states (default 4)")
-    p.add_argument("--inner-iters", type=int, default=4000)
+    p.add_argument("--inner-iters", type=int, default=4000,
+                   help="climb steps per restart (default 4000); 1 where M >= (N+1)^2")
     p.add_argument("--outer-iters", type=int, default=24)
     p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--extrapolate", action="store_true",

@@ -424,9 +424,10 @@ def validate_model(
 
     The correlations are checked in blocks of rows, about
     _CHECK_BLOCK_ENTRIES entries each: rows j of the product
-    sum_n rho_n A[j][n] B[k][n] against the same rows of the clipped
-    Gram a_j . b_k.  The check needs O(N*M) memory and never holds an
-    N x N array.
+    sum_n rho_n A[j][n] B[k][n], formed as one BLAS product
+    (A[rows] * rho) @ B^T, against the same rows of the clipped Gram
+    a_j . b_k.  The check needs O(N*M) memory and never holds an N x N
+    array.
     """
     if model.n_settings != settings.n_settings:
         raise InvalidInputError(
@@ -438,7 +439,7 @@ def validate_model(
     worst = []
     for start in range(0, settings.n_settings, rows):
         block = slice(start, start + rows)
-        product = np.einsum("n,jn,kn->jk", model.rho, model.a_table[block], model.b_table)
+        product = (model.a_table[block] * model.rho) @ model.b_table.T
         gram = np.clip(settings.a_matrix[block] @ settings.b_matrix.T, -1.0, 1.0)
         worst.append(np.max(np.abs(product - model.visibility * gram)))
     corr = float(np.max(worst))

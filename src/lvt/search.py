@@ -14,6 +14,15 @@ alternating-LP finish (lvt.seesaw) then polishes the climb's model
 over general tables and weights, which lifts the rank-3 ceiling for
 N > 3 and closes the climb's slow last stretch at any N.
 
+Once M >= (N+1)^2 the climb is capped at one step per restart, and the
+finish alone carries the search.  A basic optimum of the finish's
+weight LP has at most (N+1)^2 states (its equality rows), so there it
+always fits in M states, and each weight step works as column
+generation over the fresh random sign states it is offered (the
+see-saw method of Brierley, Navascues and Vertesi, arXiv:1609.05011).
+Below (N+1)^2 the finish needs the climb's model: at M = 5 and N = 3
+or 4, started from a one-step climb, it ends 0.36-0.59 lower.
+
 The climb state is a flat vector of 7M reals: the 6 raw frame vectors
 plus raw weights.  Each evaluation re-projects the constraints (floor
 simplex for rho, sqrt(rho)-orthogonality, biorthogonality via an
@@ -134,8 +143,11 @@ _ALPHA_GRID = (0.25, 0.5, 0.75, 1.0)
 class SearchConfig:
     """Budgets for the max-min search.
 
-    The climb's step scale, patience and weight floor are fixed:
-    _STEP_SCALE, _PATIENCE and DEFAULT_RHO_MIN.
+    inner_iters is each restart's climb budget wherever
+    m_states < (n_settings+1)^2; at larger m_states the climb takes one
+    step per restart and the see-saw finish does the rest (module
+    docstring).  The climb's step scale, patience and weight floor are
+    fixed: _STEP_SCALE, _PATIENCE and DEFAULT_RHO_MIN.
     """
 
     n_settings: int
@@ -455,6 +467,11 @@ def _climb(
     return best_v, best_x, evals
 
 
+def _climb_iters(n: int, config: SearchConfig) -> int:
+    """Climb steps per restart: 1 where M >= (N+1)^2, else config.inner_iters."""
+    return 1 if config.m_states >= (n + 1) ** 2 else config.inner_iters
+
+
 def inner_maximize(
     settings: SettingsEnsemble, config: SearchConfig
 ) -> tuple[DiscreteLhvModel, VisibilityEstimate]:
@@ -472,13 +489,20 @@ def inner_maximize(
     restart whose best reaches V = 1 stops, and so does every restart
     with a higher index; the winner is the same as if they climbed on,
     but estimate.iterations_used counts only the steps taken.
+
+    When m_states >= (n_settings+1)^2, every basic optimum of the
+    finish's weight LP fits in m_states states, so the finish reaches
+    the optimum by itself.  Each restart then draws its feasible start
+    and climbs one step, whatever config.inner_iters says, and
+    iterations_used is about 2 per restart.
     """
     if settings.n_settings != config.n_settings:
         raise InvalidInputError(
             f"settings have {settings.n_settings} directions per side, "
             f"config expects {config.n_settings}"
         )
-    best_v, best_x, evals = _climb(settings, config)
+    climb_config = replace(config, inner_iters=_climb_iters(settings.n_settings, config))
+    best_v, best_x, evals = _climb(settings, climb_config)
     best_index = min(range(config.restarts), key=lambda r: (-best_v[r], r))
     model = state_to_model(best_x[best_index], settings)
     model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
@@ -580,16 +604,21 @@ def sweep_work(n_values: Sequence[int], config: SearchConfig) -> dict:
     "climb steps": restart-steps scored, the starting state and the step
     budget of every restart of every outer step, times the share of
     moves the climb scores (4 in 7 at M = 4, whose t-half moves are
-    rejected unscored).  "climb table entries": those steps times the
-    N * M table entries each one scores.  "finish LP rows": an upper
-    bound on the equality rows of every see-saw LP, at its round cap.
+    rejected unscored).  The budget is one step at each N with
+    M >= (N+1)^2, where inner_maximize caps the climb.  "climb table
+    entries": those steps times the N * M table entries each one
+    scores.  "finish LP rows": an upper bound on the equality rows of
+    every see-saw LP, at its round cap.
     """
     m = config.m_states
     share = 4.0 / 7.0 if m == 4 else 1.0
-    steps = config.outer_iters * config.restarts * (config.inner_iters + 1) * share
+    steps = [
+        config.outer_iters * config.restarts * (_climb_iters(n, config) + 1) * share
+        for n in n_values
+    ]
     return {
-        "climb steps": steps * len(n_values),
-        "climb table entries": steps * m * sum(n_values),
+        "climb steps": sum(steps),
+        "climb table entries": sum(count * m * n for n, count in zip(n_values, steps)),
         "finish LP rows": config.outer_iters * sum(lp_rows_bound(n, m) for n in n_values),
     }
 

@@ -136,6 +136,8 @@ GATE_VERDICTS = [
     (["--n", "2,3,4", "--inner-iters", "100000"], "climb steps"),
     (["--n", "2", "--outer-iters", "1000", "--inner-iters", "100"], "finish LP rows"),
     (["--n", "100,200,300,1000"], None),
+    # M >= (N+1)^2 at every N: one climb step per restart, whatever the budget.
+    (["--n", "2,3,4", "--m", "34", "--inner-iters", "100000"], None),
 ]
 
 

@@ -184,7 +184,7 @@ def test_two_state_anticorrelation_model_passes():
 def _direct_report(model, settings, tol):
     """validate_model's four fields, from the whole N x N Gram at once."""
     gram = np.clip(settings.a_matrix @ settings.b_matrix.T, -1.0, 1.0)
-    product = np.einsum("n,jn,kn->jk", model.rho, model.a_table, model.b_table)
+    product = (model.a_table * model.rho) @ model.b_table.T
     a, b = model.a_table, model.b_table
     return ValidationReport(
         correlation_violation=float(np.max(np.abs(product - model.visibility * gram))),
@@ -229,6 +229,24 @@ def test_blocked_validation_matches_direct_check(n):
     direct = _direct_report(nudged, settings, 1e-9)
     assert report.correlation_violation == direct.correlation_violation > 1e-9
     assert not report.passed
+
+
+def test_block_product_matches_three_operand_sum():
+    # validate_model forms each block's correlations as one BLAS product,
+    # (A[rows] * rho) @ B^T.  It sums in another order than the
+    # three-operand sum_n rho_n A[j][n] B[k][n], so only the last digits
+    # of the reported violation may move.
+    rng = np.random.default_rng(71)
+    n, m = 600, 34
+    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, m), 1e-6)
+    a_table = rng.uniform(-1.0, 1.0, (n, m))
+    b_table = rng.uniform(-1.0, 1.0, (n, m))
+    rows = max(1, _CHECK_BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        product = (a_table[block] * rho) @ b_table.T
+        summed = np.einsum("n,jn,kn->jk", rho, a_table[block], b_table)
+        assert np.max(np.abs(product - summed)) < 1e-12
 
 
 def test_validation_memory_grows_linearly():

@@ -43,11 +43,16 @@ def test_config_validation():
 
 
 def test_single_pair_converges_to_full_visibility():
+    # At N = 1 every M >= 4 reaches (N+1)^2, so the climb takes one step
+    # per restart and the finish alone lifts its model to V = 1.
     z = Direction(0.0, 0.0, 1.0)
     settings = SettingsEnsemble((z,), (z,))
-    cfg = SearchConfig(n_settings=1, inner_iters=3000, restarts=2, seed=2)
-    _, est = inner_maximize(settings, cfg)
-    assert est.value > 1.0 - 1e-3
+    for m in (4, 5):
+        cfg = SearchConfig(n_settings=1, m_states=m, inner_iters=3000, restarts=2, seed=2)
+        model, est = inner_maximize(settings, cfg)
+        assert est.value > 1.0 - 1e-12
+        assert est.iterations_used <= 3 * cfg.restarts
+        assert validate_model(model, settings, 1e-8).passed
 
 
 def test_inner_maximum_never_exceeds_exact_optimum():
@@ -90,6 +95,36 @@ def test_inner_maximize_deterministic():
         _, one = inner_maximize(settings, cfg)
         _, two = inner_maximize(settings, cfg)
         assert one.value == two.value
+
+
+@pytest.mark.parametrize("n, m", [(2, 10), (3, 20), (4, 34)])
+def test_finish_alone_reaches_the_oracle_from_m_of_n_plus_one_squared(n, m):
+    # From M = (N+1)^2 on, every basic optimum of the finish's weight LP
+    # fits in M states, so the climb takes one step per restart: a start
+    # draw and one move each, whatever inner_iters says.
+    settings = SettingsEnsemble.random(n, np.random.default_rng([137, n]))
+    oracle = max_visibility_lp(settings).value
+    results = []
+    for inner_iters in (10, 4000):
+        cfg = SearchConfig(
+            n_settings=n, m_states=m, inner_iters=inner_iters, restarts=3, seed=n
+        )
+        model, est = inner_maximize(settings, cfg)
+        assert est.iterations_used <= 3 * cfg.restarts
+        assert abs(est.value - oracle) < 1e-6
+        assert validate_model(model, settings, 1e-8).passed
+        results.append((est.value, est.iterations_used))
+    assert results[0] == results[1]
+
+
+def test_search_below_n_plus_one_squared_climbs_its_full_budget():
+    # (N, M) = (3, 15) lies just below (N+1)^2 = 16: the climb keeps its
+    # budget, and value and step count are those of the uncapped search.
+    settings = SettingsEnsemble.random(3, np.random.default_rng([133, 3]))
+    cfg = SearchConfig(n_settings=3, m_states=15, inner_iters=1000, restarts=2, seed=3)
+    _, est = inner_maximize(settings, cfg)
+    assert est.value == 0.7766569143866567
+    assert est.iterations_used == 2002
 
 
 def test_m4_model_keeps_zero_marginals():
