@@ -1,11 +1,21 @@
 """Threshold visibility for local-hidden-variable representability.
 
 The damped singlet's joint outcome probabilities admit a local model
-exactly when the visibility is small enough.  This package pins the
-threshold four independent ways: an exact Legendre-series construction
-(1/3), an SVD-based Monte-Carlo max-min search over discrete models, a
-linear-programming oracle over deterministic strategies for small
-instances, and the classical Bell (2/3) and CHSH (1/sqrt(2)) bounds.
+exactly when the visibility is small enough.  This package brackets
+the threshold four independent ways, each measuring its own quantity:
+
+- analytic: a Legendre-series model is local for every direction
+  pair up to V = 1/3, so 1/3 is a lower bound on the threshold.
+- search: the SVD construction's max-min over settings, a certified
+  lower bound for each settings ensemble; at M = 4 hidden states its
+  limit as N grows is 1/3.
+- oracle: the LP over deterministic strategies gives the exact
+  V*(settings) for small N; minimized over settings, that is an upper
+  bound on the threshold.
+- Bell and CHSH: a violated inequality bounds the threshold from
+  above.  CHSH's 1/sqrt(2) is such an upper bound.  Bell's 2/3 assumes
+  strict anticorrelation (B = -A at equal settings), which the damped
+  correlations lack at V < 1, so it is not a bound on the threshold.
 """
 
 __version__ = "0.1.0"
@@ -25,10 +35,8 @@ from .construct import (
     GramSvd,
     SettingsEnsemble,
     ValidationReport,
-    assemble_model,
     floor_normalized_weights,
     gram_svd,
-    make_frame,
     validate_model,
 )
 from .core import (
@@ -97,7 +105,6 @@ __all__ = [
     "VisibilityEstimate",
     "aligned_chsh_configuration",
     "analytic_threshold",
-    "assemble_model",
     "bell_lhs",
     "bell_threshold_numeric",
     "chsh_angle_lhs",
@@ -109,7 +116,6 @@ __all__ = [
     "gram_svd",
     "inner_maximize",
     "legendre",
-    "make_frame",
     "max_visibility_for_gram",
     "max_visibility_lp",
     "model_for_visibility",

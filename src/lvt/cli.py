@@ -4,7 +4,8 @@ Commands map one-to-one onto the library: `analytic` (exact threshold
 plus positivity evidence), `search` (N-sweep of the max-min Monte-Carlo
 search, optional extrapolation), `oracle` (exact LP value for fixed
 settings), `bell` / `chsh` (numeric inequality thresholds), and
-`construct` (one-shot frame assembly plus validation).
+`construct` (one seeded state through lvt.search.state_to_model, then
+validation).
 
 Machine-readable outputs are byte-identical across repeated runs with
 the same seed; wall_time_s is therefore emitted as a 0.0 placeholder in
@@ -30,13 +31,7 @@ from .analytic import (
     validity_flip_visibility,
     validity_scan,
 )
-from .construct import (
-    SettingsEnsemble,
-    assemble_model,
-    floor_normalized_weights,
-    make_frame,
-    validate_model,
-)
+from .construct import SettingsEnsemble, validate_model
 from .core import seeded_rng
 from .errors import (
     InvalidInputError,
@@ -46,7 +41,7 @@ from .errors import (
 from .estimate import VisibilityEstimate
 from .inequalities import bell_threshold_numeric, chsh_threshold_numeric
 from .oracle import max_visibility_lp
-from .search import SearchConfig, extrapolate, n_sweep, sweep_work
+from .search import SearchConfig, extrapolate, n_sweep, state_to_model, sweep_work
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,8 +50,13 @@ EXIT_PARTIAL = 4
 
 CSV_COLUMNS = ("n", "visibility", "std_error", "provenance", "seed", "iterations", "wall_time_s")
 
+_TAG_CLI_FRAME = 0
 _TAG_CLI_SETTINGS = 6
 _TAG_CLI_WEIGHTS = 7
+
+# The most points `analytic --scan` evaluates: 0:1:1e-4 takes under a
+# second on a 2-core machine.
+MAX_SCAN_POINTS = 10_001
 
 # A sweep asking for more of any count of lvt.search.sweep_work (scored
 # climb steps, scored climb table entries, finish LP rows) than its limit
@@ -152,11 +152,19 @@ def parse_scan(text: str) -> list:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InvalidInputError(f"--scan expects numeric start:stop:step, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise InvalidInputError(f"--scan needs finite start:stop:step, got {text!r}")
     if step <= 0.0 or stop < start:
         raise InvalidInputError("--scan needs step > 0 and stop >= start")
     if start < 0.0 or stop > 1.0:
         raise InvalidInputError("--scan range must stay inside [0, 1]")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_SCAN_POINTS:
+        raise ResourceLimitError(
+            f"--scan asks for {span + 1.0:.4g} points, over the limit of "
+            f"{MAX_SCAN_POINTS}"
+        )
+    count = int(math.floor(span)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -320,9 +328,9 @@ def _cmd_construct(args, seed: int):
     settings = _settings(args, seed, args.n, "--n")
     if args.m < 4:
         raise InvalidInputError(f"--m must be >= 4, got {args.m}")
-    rho = floor_normalized_weights(seeded_rng(seed, _TAG_CLI_WEIGHTS).uniform(0.0, 1.0, args.m))
-    frame = make_frame(rho, seed)
-    model = assemble_model(settings, frame)
+    frame = seeded_rng(seed, _TAG_CLI_FRAME).standard_normal(6 * args.m)
+    weights = seeded_rng(seed, _TAG_CLI_WEIGHTS).uniform(0.0, 1.0, args.m)
+    model = state_to_model(np.concatenate([frame, weights]), settings)
     report = validate_model(model, settings, tol=1e-9)
     estimate = VisibilityEstimate(
         value=model.visibility, std_error=0.0, n_settings=settings.n_settings,
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", parents=[common], help="numeric CHSH threshold (1/sqrt(2))")
     p.set_defaults(run=_cmd_chsh)
 
-    p = sub.add_parser("construct", parents=[common], help="one-shot assemble and validate")
+    p = sub.add_parser("construct", parents=[common], help="build and validate one seeded model")
     p.add_argument("--n", type=int, default=None, help="random settings count")
     p.add_argument("--m", type=int, default=4, help="hidden states (default 4)")
     p.add_argument("--settings", default=None, help="JSON settings file")

@@ -1,4 +1,4 @@
-"""Explicit discrete LHV construction from an SVD of the settings Gram.
+"""Settings, Gram factors, discrete models and their validation.
 
 For N settings per side, the N x N Gram matrix g[j][k] = a_j.b_k has
 rank at most 3, so g = U diag(p) V^T with three (or fewer) nonzero
@@ -13,10 +13,15 @@ delta_ij) and orthogonal to the sqrt(rho) vector, the tables
     B'[k][n] = sum_i V[k][i] sqrt(p_i) (t_i)[n] / sqrt(rho_n)
 
 satisfy sum_n rho_n A' B' = g exactly and have zero rho-weighted means.
-Rescaling by the largest entry, 1/sqrt(V) = max |entries|, turns them
-into bounded expectation tables A = sqrt(V) A', B = sqrt(V) B' that
-realize the damped correlations V g.  V is the visibility this frame
-certifies as locally representable.
+Scale moves freely between q and t without changing that product, so
+each table is divided by its own largest entry: A = A'/max|A'| and
+B = B'/max|B'| are bounded expectation tables that realize the damped
+correlations V g with V = 1/(max|A'| max|B'|), capped at 1.  V is the
+visibility this frame certifies as locally representable.
+
+lvt.search.state_to_model is the one place that builds such a model,
+from a search state holding raw q, t and weights; this module holds
+the pieces it uses and validate_model, which certifies any model.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NORM_SLACK, Direction, seeded_rng
-from .errors import ConstructionFailureError, InvalidInputError
+from .core import NORM_SLACK, Direction
+from .errors import InvalidInputError
 
 # Weight floor applied before the 1/sqrt(rho) division; prevents
 # overflow while barely constraining the search.
@@ -38,8 +43,7 @@ DEFAULT_RHO_MIN = 1e-6
 # Relative cutoff below which a singular value is reported as exact zero.
 _SINGULAR_CUTOFF = 1e-10
 
-# Frame invariant tolerances.
-_BIORTHO_TOL = 1e-10
+# Tolerance on the weights summing to 1.
 _SIMPLEX_TOL = 1e-9
 
 # Entries of the correlation residual validate_model holds at once.
@@ -203,48 +207,6 @@ def gram_svd(settings: SettingsEnsemble) -> GramSvd:
     return settings.svd
 
 
-@dataclass(frozen=True)
-class AuxiliaryFrame:
-    """Biorthogonal triples q, t over M hidden states with weights rho.
-
-    Invariants: q_i.t_j = delta_ij; both triples orthogonal to the
-    sqrt(rho) vector; rho a strictly positive probability vector.
-    """
-
-    q: np.ndarray
-    t: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        rho = np.asarray(self.rho, dtype=float)
-        if q.ndim != 2 or q.shape[0] != 3 or t.shape != q.shape:
-            raise InvalidInputError("q and t must both be 3 x M arrays")
-        m = q.shape[1]
-        if rho.shape != (m,):
-            raise InvalidInputError(f"rho must have length {m}, got shape {rho.shape}")
-        if m < 4:
-            raise InvalidInputError(
-                f"need at least 4 hidden states (3 biorthogonal pairs plus the "
-                f"sqrt(rho) constraint exhaust dimension 4), got {m}"
-            )
-        if np.any(rho <= 0.0) or abs(float(np.sum(rho)) - 1.0) > _SIMPLEX_TOL:
-            raise InvalidInputError("rho must be strictly positive and sum to 1")
-        srho = np.sqrt(rho)
-        cross = np.max(np.abs(q @ t.T - np.eye(3)))
-        if cross > _BIORTHO_TOL:
-            raise InvalidInputError(f"q.t biorthogonality residual {cross:.2e} exceeds tolerance")
-        mean_res = max(np.max(np.abs(q @ srho)), np.max(np.abs(t @ srho)))
-        if mean_res > _BIORTHO_TOL:
-            raise InvalidInputError(
-                f"sqrt(rho)-orthogonality residual {mean_res:.2e} exceeds tolerance"
-            )
-        object.__setattr__(self, "q", _readonly(q))
-        object.__setattr__(self, "t", _readonly(t))
-        object.__setattr__(self, "rho", _readonly(rho))
-
-
 def project_out(rows: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Remove the component along a unit vector from each row.
 
@@ -266,42 +228,6 @@ def biorthogonalize(q: np.ndarray, t_raw: np.ndarray) -> np.ndarray:
         cross = q @ t.T
         t = np.linalg.solve(cross.T, t)
     return t
-
-
-def make_frame(rho: Sequence[float], seed: int) -> AuxiliaryFrame:
-    """Sample a random auxiliary frame over weights of at least DEFAULT_RHO_MIN.
-
-    Draws 6 Gaussian M-vectors, projects out the sqrt(rho) direction,
-    and biorthogonalizes t against q.  A singular cross-Gram (measure
-    zero) triggers a resample with the next seed; 100 consecutive
-    failures raise a construction failure.
-    """
-    rho_arr = np.asarray(rho, dtype=float)
-    if rho_arr.ndim != 1 or rho_arr.shape[0] < 4:
-        raise InvalidInputError(
-            f"need at least 4 hidden-state weights, got shape {rho_arr.shape}"
-        )
-    if np.any(rho_arr < DEFAULT_RHO_MIN * (1.0 - 1e-12)):
-        raise InvalidInputError(f"every weight must be at least {DEFAULT_RHO_MIN}")
-    if abs(float(np.sum(rho_arr)) - 1.0) > _SIMPLEX_TOL:
-        raise InvalidInputError("weights must sum to 1")
-    srho = np.sqrt(rho_arr)
-
-    for attempt in range(100):
-        rng = seeded_rng(seed, attempt)
-        q = project_out(rng.standard_normal((3, rho_arr.shape[0])), srho)
-        t_raw = project_out(rng.standard_normal((3, rho_arr.shape[0])), srho)
-        cross = q @ t_raw.T
-        svals = np.linalg.svd(cross, compute_uv=False)
-        if svals[-1] < 1e-8 * max(1.0, svals[0]):
-            continue
-        t = biorthogonalize(q, t_raw)
-        if np.max(np.abs(q @ t.T - np.eye(3))) > 1e-12:
-            continue
-        return AuxiliaryFrame(q=q, t=t, rho=rho_arr)
-    raise ConstructionFailureError(
-        f"no nonsingular frame found in 100 attempts from seed {seed}"
-    )
 
 
 def floor_normalized_weights(raw: Sequence[float], rho_min: float = DEFAULT_RHO_MIN) -> np.ndarray:
@@ -366,30 +292,6 @@ class DiscreteLhvModel:
         return self.rho.shape[0]
 
 
-def assemble_model(settings: SettingsEnsemble, frame: AuxiliaryFrame) -> DiscreteLhvModel:
-    """Build the bounded model this frame certifies for these settings.
-
-    The raw tables A', B' have sum_n rho_n A'B' = gram exactly; their
-    largest absolute entry is 1/sqrt(V), with V capped at 1.  A zero
-    Gram matrix (all pairs orthogonal) yields zero tables and
-    visibility 1: zero correlations are representable at any damping.
-    """
-    svd = gram_svd(settings)
-    inv_srho = 1.0 / np.sqrt(frame.rho)
-    sqrt_p = np.sqrt(svd.p)
-    a_raw = (svd.u * sqrt_p) @ frame.q * inv_srho
-    b_raw = (svd.v * sqrt_p) @ frame.t * inv_srho
-    max_entry = max(float(np.max(np.abs(a_raw))), float(np.max(np.abs(b_raw))))
-    vis = 1.0 if max_entry <= 1.0 else (1.0 / max_entry) ** 2
-    root = math.sqrt(vis)
-    return DiscreteLhvModel(
-        rho=frame.rho,
-        a_table=root * a_raw,
-        b_table=root * b_raw,
-        visibility=vis,
-    )
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Worst-case violations of the discrete-model constraints."""
@@ -433,8 +335,8 @@ def validate_model(
         raise InvalidInputError(
             f"model covers {model.n_settings} settings, ensemble has {settings.n_settings}"
         )
-    if tol <= 0.0:
-        raise InvalidInputError(f"tolerance must be > 0, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tolerance must be finite and > 0, got {tol!r}")
     rows = max(1, _CHECK_BLOCK_ENTRIES // settings.n_settings)
     worst = []
     for start in range(0, settings.n_settings, rows):

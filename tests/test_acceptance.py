@@ -23,14 +23,11 @@ from lvt import (
     SearchConfig,
     SettingsEnsemble,
     analytic_threshold,
-    assemble_model,
     bell_threshold_numeric,
     chsh_threshold_numeric,
     extrapolate,
-    floor_normalized_weights,
     inner_maximize,
     legendre,
-    make_frame,
     max_visibility_lp,
     model_for_visibility,
     n_sweep,
@@ -39,12 +36,14 @@ from lvt import (
     reconstruct_joint,
     response,
     sphere_quadrature,
+    state_to_model,
     validate_model,
     validity_flip_visibility,
 )
 from lvt.cli import main
 
 from directions import random_direction
+from models import span_state
 
 ACCEPTANCE_SEED = 20260819
 
@@ -159,9 +158,8 @@ def test_criterion_4_constructive_soundness():
         n = int(rng.integers(1, 11))
         m = int(rng.integers(4, 17))
         settings = SettingsEnsemble.random(n, rng)
-        rho = floor_normalized_weights(rng.uniform(0.0, 1.0, m), 1e-6)
-        frame = make_frame(rho, int(rng.integers(0, 2**32)))
-        model = assemble_model(settings, frame)
+        weights = rng.uniform(0.0, 1.0, m)
+        model = state_to_model(span_state(int(rng.integers(0, 2**32)), weights), settings)
         report_card = validate_model(model, settings, tol=1e-9)
         if not report_card.passed:
             failures += 1
@@ -322,6 +320,7 @@ def test_criterion_11_determinism(capsys, tmp_path):
          "--inner-iters", "400", "--outer-iters", "2", "--restarts", "2"],
         ["oracle", "--random", "3", "--seed", "4", "--json"],
         ["analytic", "--json", "--seed", "1"],
+        ["construct", "--n", "5", "--m", "6", "--seed", "2", "--json"],
     ]
     for argv in argv_sets:
         first_csv = tmp_path / "first.csv"

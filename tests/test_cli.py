@@ -14,6 +14,7 @@ from lvt.cli import (
     EXIT_PARTIAL,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    MAX_SCAN_POINTS,
     SEARCH_WORK_LIMITS,
     load_settings,
     main,
@@ -364,6 +365,26 @@ def test_parse_helpers_reject_bad_text():
     scan = parse_scan("0.30:0.36:0.01")
     assert len(scan) == 7
     assert abs(scan[-1] - 0.36) < 1e-12
+
+
+@pytest.mark.parametrize("scan", ["nan:0.3:0.01", "0:inf:0.1", "0:0.3:nan", "0:0.3:inf"])
+def test_analytic_scan_rejects_non_finite_parts(capsys, scan):
+    code, _, err = run_cli(capsys, ["analytic", "--scan", scan])
+    assert code == EXIT_USAGE
+    assert "finite" in err
+
+
+def test_analytic_scan_point_limit(capsys, monkeypatch):
+    assert len(parse_scan("0:1:1e-4")) == MAX_SCAN_POINTS
+
+    def no_scan(values):
+        raise AssertionError("a scan over the point limit evaluated a point")
+
+    monkeypatch.setattr("lvt.cli.validity_scan", no_scan)
+    for scan in ("0:1:1e-9", "0:1:0.99e-4", "0:1:5e-324"):
+        code, _, err = run_cli(capsys, ["analytic", "--scan", scan])
+        assert code == EXIT_RESOURCE
+        assert f"over the limit of {MAX_SCAN_POINTS}" in err
 
 
 def test_bad_flag_exits_with_usage_code(capsys):

@@ -9,16 +9,16 @@ from lvt import (
     InvalidInputError,
     SettingsEnsemble,
     ValidationReport,
-    assemble_model,
     floor_normalized_weights,
     gram_svd,
-    make_frame,
+    state_to_model,
     validate_model,
 )
 
 from lvt.construct import _CHECK_BLOCK_ENTRIES
 
 from directions import random_direction
+from models import span_model, span_state
 
 
 def _triad():
@@ -80,27 +80,24 @@ def test_svd_is_factored_once_per_ensemble():
 
 
 def test_frame_satisfies_both_orthogonality_families():
-    rho = floor_normalized_weights(np.array([0.3, 0.25, 0.25, 0.2]), 1e-6)
-    frame = make_frame(rho, seed=5)
-    cross = frame.q @ frame.t.T
-    assert np.max(np.abs(cross - np.eye(3))) < 1e-10
-    srho = np.sqrt(rho)
-    assert np.max(np.abs(frame.q @ srho)) < 1e-10
-    assert np.max(np.abs(frame.t @ srho)) < 1e-10
+    # q.t = I makes the correlations exact; q and t orthogonal to sqrt(rho)
+    # make the rho-weighted means of both tables zero.
+    rng = np.random.default_rng(5)
+    settings = SettingsEnsemble.random(3, rng)
+    model = state_to_model(span_state(5, [0.3, 0.25, 0.25, 0.2]), settings)
+    assert np.allclose(model.rho, [0.3, 0.25, 0.25, 0.2], rtol=1e-5)
+    report = validate_model(model, settings, 1e-9)
+    assert report.correlation_violation < 1e-12
+    assert report.marginal_violation < 1e-12
 
 
 def test_frame_rejects_too_few_states():
-    rho = np.full(3, 1.0 / 3.0)
-    with pytest.raises(InvalidInputError):
-        make_frame(rho, seed=0)
-
-
-def test_frame_deterministic_per_seed():
-    rho = np.full(5, 0.2)
-    one = make_frame(rho, seed=9)
-    two = make_frame(rho, seed=9)
-    assert np.array_equal(one.q, two.q)
-    assert np.array_equal(one.t, two.t)
+    # Three biorthogonal pairs plus the sqrt(rho) constraint need M >= 4,
+    # and a state holds 7M numbers: q, t and the raw weights.
+    settings = SettingsEnsemble.random(3, np.random.default_rng(0))
+    for bad in (span_state(0, np.full(3, 1.0)), np.zeros(29), np.zeros((4, 7))):
+        with pytest.raises(InvalidInputError):
+            state_to_model(bad, settings)
 
 
 def test_floor_weights_simplex_and_floor():
@@ -112,23 +109,18 @@ def test_floor_weights_simplex_and_floor():
 
 
 def test_assembled_model_validates_tightly():
-    rng = np.random.default_rng(13)
-    settings = SettingsEnsemble.random(3, rng)
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 4), 1e-6)
-    model = assemble_model(settings, make_frame(rho, seed=21))
+    settings, model = span_model(3, 4, 13)
     report = validate_model(model, settings, 1e-9)
     assert report.passed
     assert report.correlation_violation < 1e-12
 
 
 def test_assembled_model_saturates_bound():
-    rng = np.random.default_rng(29)
-    settings = SettingsEnsemble.random(4, rng)
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 6), 1e-6)
-    model = assemble_model(settings, make_frame(rho, seed=3))
-    if model.visibility < 1.0:
-        peak = max(np.max(np.abs(model.a_table)), np.max(np.abs(model.b_table)))
-        assert abs(peak - 1.0) < 1e-12
+    # Below V = 1 each table is divided by its own largest entry.
+    settings, model = span_model(4, 6, 29)
+    assert model.visibility < 1.0
+    assert abs(np.max(np.abs(model.a_table)) - 1.0) < 1e-12
+    assert abs(np.max(np.abs(model.b_table)) - 1.0) < 1e-12
 
 
 def test_zero_gram_gives_full_visibility():
@@ -136,26 +128,27 @@ def test_zero_gram_gives_full_visibility():
     b_side = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0))
     settings = SettingsEnsemble(a_side, b_side)
     assert np.max(np.abs(settings.gram)) == 0.0
-    rho = np.full(4, 0.25)
-    model = assemble_model(settings, make_frame(rho, seed=1))
+    model = state_to_model(span_state(1, np.full(4, 0.25)), settings)
     assert model.visibility == 1.0
     assert np.max(np.abs(model.a_table)) == 0.0
+    assert np.max(np.abs(model.b_table)) == 0.0
     assert validate_model(model, settings, 1e-9).passed
 
 
 def test_frame_scale_transfer_keeps_raw_product():
+    # Doubling q halves t after biorthogonalization, so the raw product is
+    # unchanged and the balanced tables are the same.
     rng = np.random.default_rng(41)
     settings = SettingsEnsemble.random(3, rng)
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 4), 1e-6)
-    frame = make_frame(rho, seed=2)
-    scaled = type(frame)(q=2.0 * frame.q, t=frame.t / 2.0, rho=frame.rho)
-    # The raw tables are the assembled ones over sqrt(V).
-    one = assemble_model(settings, frame)
-    two = assemble_model(settings, scaled)
-    product_one = np.einsum("n,jn,kn->jk", rho, one.a_table, one.b_table) / one.visibility
-    product_two = np.einsum("n,jn,kn->jk", rho, two.a_table, two.b_table) / two.visibility
-    assert np.max(np.abs(product_one - product_two)) < 1e-12
-    assert np.max(np.abs(product_one - settings.gram)) < 1e-12
+    x = span_state(2, rng.uniform(0.0, 1.0, 4))
+    scaled = x.copy()
+    scaled[:12] *= 2.0
+    one = state_to_model(x, settings)
+    two = state_to_model(scaled, settings)
+    assert np.max(np.abs(one.a_table - two.a_table)) < 1e-12
+    assert np.max(np.abs(one.b_table - two.b_table)) < 1e-12
+    product = (one.a_table * one.rho) @ one.b_table.T / one.visibility
+    assert np.max(np.abs(product - settings.gram)) < 1e-12
 
 
 def test_validation_flags_bound_violation():
@@ -179,6 +172,13 @@ def test_two_state_anticorrelation_model_passes():
     model = DiscreteLhvModel(rho=rho, a_table=a_table, b_table=b_table, visibility=1.0)
     report = validate_model(model, settings, 1e-9)
     assert report.passed
+
+
+def test_validation_rejects_bad_tolerance():
+    settings, model = span_model(3, 4, 13)
+    for tol in (float("nan"), 0.0, -1e-9, float("inf")):
+        with pytest.raises(InvalidInputError):
+            validate_model(model, settings, tol=tol)
 
 
 def _direct_report(model, settings, tol):
@@ -208,10 +208,8 @@ def test_blocked_validation_matches_direct_check(n):
     # N = 1 and 3 fit one row block; 1000 and 1500 end in a partial one.
     rows = max(1, _CHECK_BLOCK_ENTRIES // n)
     assert n <= rows or n % rows != 0
+    settings, model = span_model(n, 6, 61 + n)
     rng = np.random.default_rng([61, n])
-    settings = SettingsEnsemble.random(n, rng)
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 6), 1e-6)
-    model = assemble_model(settings, make_frame(rho, seed=n))
     assert validate_model(model, settings, 1e-9) == _direct_report(model, settings, 1e-9)
     noisy = DiscreteLhvModel(
         rho=model.rho,
@@ -251,10 +249,7 @@ def test_block_product_matches_three_operand_sum():
 
 def test_validation_memory_grows_linearly():
     # The whole N x N residual at N = 2000 would trace about 96 MB.
-    rng = np.random.default_rng(67)
-    settings = SettingsEnsemble.random(2000, rng)
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, 4), 1e-6)
-    model = assemble_model(settings, make_frame(rho, seed=5))
+    settings, model = span_model(2000, 4, 67)
     tracemalloc.start()
     try:
         assert validate_model(model, settings, 1e-9).passed

@@ -10,19 +10,14 @@ import pytest
 import scipy.sparse as sparse
 from scipy.optimize import linprog
 
-from lvt import LvtError, SettingsEnsemble, assemble_model, floor_normalized_weights, make_frame
+from lvt import LvtError, SettingsEnsemble
 from lvt import lp as lp_module
 from lvt import oracle as oracle_module
 from lvt import seesaw as seesaw_module
 from lvt.oracle import max_visibility_for_gram
 from lvt.seesaw import side_lp, weight_lp
 
-
-def span_model(n, m, seed):
-    rng = np.random.default_rng(seed)
-    settings = SettingsEnsemble.random(n, rng)
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, m), 1e-6)
-    return settings, assemble_model(settings, make_frame(rho, seed))
+from models import span_model
 
 
 def recorded_lps(monkeypatch, module, run):

@@ -5,22 +5,13 @@ from lvt import (
     DiscreteLhvModel,
     GramSvd,
     SettingsEnsemble,
-    assemble_model,
-    floor_normalized_weights,
-    make_frame,
     max_visibility_lp,
     validate_model,
 )
 from lvt import seesaw as seesaw_module
 from lvt.seesaw import certified_model, seesaw, side_lp, weight_lp
 
-
-def span_model(n, m, seed):
-    """A certified model of the SVD construction (columns in the rank-3 span)."""
-    rng = np.random.default_rng(seed)
-    settings = SettingsEnsemble.random(n, rng)
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, m), 1e-6)
-    return settings, assemble_model(settings, make_frame(rho, seed))
+from models import span_model
 
 
 def test_finish_is_certified_and_never_worse():
