@@ -122,7 +122,10 @@ def load_settings(path: str) -> SettingsEnsemble:
         raise InvalidInputError('settings file needs top-level "a" and "b" arrays')
     sides = {}
     for key in ("a", "b"):
-        arr = np.asarray(data[key], dtype=float)
+        try:
+            arr = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f'"{key}" is not an array of numbers: {exc}') from exc
         if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
             raise InvalidInputError(f'"{key}" must be a nonempty array of [x, y, z] triples')
         if not np.all(np.isfinite(arr)):

@@ -19,9 +19,12 @@ B = B'/max|B'| are bounded expectation tables that realize the damped
 correlations V g with V = 1/(max|A'| max|B'|), capped at 1.  V is the
 visibility this frame certifies as locally representable.
 
-lvt.search.state_to_model is the one place that builds such a model,
-from a search state holding raw q, t and weights; this module holds
-the pieces it uses and validate_model, which certifies any model.
+lvt.search._state_tables is the one kernel that computes such tables,
+from search states holding raw q, t and weights; the climb scores
+with it and lvt.search.state_to_model builds models from it.  This
+module holds the pieces it uses (the Gram factors, project_out and
+floor_normalized_weights) and validate_model, which certifies any
+model.
 """
 
 from __future__ import annotations
@@ -214,20 +217,6 @@ def project_out(rows: np.ndarray, unit: np.ndarray) -> np.ndarray:
     stack of row blocks can each lose its own unit vector.
     """
     return rows - (rows @ unit[..., :, None]) * unit[..., None, :]
-
-
-def biorthogonalize(q: np.ndarray, t_raw: np.ndarray) -> np.ndarray:
-    """Recombine the rows of t_raw so that q_i . t_j = delta_ij.
-
-    Solves the 3 x 3 system through the cross-Gram; a second pass
-    refines the solution to machine precision.  Raises LinAlgError when
-    the cross-Gram is singular.
-    """
-    t = t_raw
-    for _ in range(2):
-        cross = q @ t.T
-        t = np.linalg.solve(cross.T, t)
-    return t
 
 
 def floor_normalized_weights(raw: Sequence[float], rho_min: float = DEFAULT_RHO_MIN) -> np.ndarray:

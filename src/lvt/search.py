@@ -24,9 +24,11 @@ Below (N+1)^2 the finish needs the climb's model: at M = 5 and N = 3
 or 4, started from a one-step climb, it ends 0.36-0.59 lower.
 
 The climb state is a flat vector of 7M reals: the 6 raw frame vectors
-plus raw weights.  Each evaluation re-projects the constraints (floor
-simplex for rho, sqrt(rho)-orthogonality, biorthogonality via an
-explicit 3x3 inverse) and reads off the certified visibility.  The
+plus raw weights.  One stacked kernel, _state_tables, turns states
+into raw tables: it re-projects the constraints (floor simplex for
+rho, sqrt(rho)-orthogonality, biorthogonality via an explicit 3x3
+inverse).  The climb reads the certified visibility off its tables,
+and state_to_model builds the reported model from them.  The
 relative scale of q versus t is balanced in closed form: scaling q by s
 multiplies the A table by s and the B table by 1/s, so the best
 achievable value at a given state is 1/(max|A'| max|B'|), capped at 1.
@@ -73,7 +75,6 @@ from .construct import (
     DEFAULT_RHO_MIN,
     DiscreteLhvModel,
     SettingsEnsemble,
-    biorthogonalize,
     floor_normalized_weights,
     gram_svd,
     project_out,
@@ -181,19 +182,24 @@ def _derive_seed(*entropy: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _state_tables(
-    x: np.ndarray, w_ab: np.ndarray, m: int, rho_min: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw tables of a stack of search states.
+def _scaled_factors(settings: SettingsEnsemble) -> np.ndarray:
+    """The (2, N, 3) stack [U sqrt(p), V sqrt(p)] of the Gram's factors."""
+    svd = gram_svd(settings)
+    sqrt_p = np.sqrt(svd.p)
+    return np.stack([svd.u * sqrt_p, svd.v * sqrt_p])
 
-    x holds one state per row, shape (R, 7M); w_ab stacks the two
-    sides' scaled singular vectors, shape (2, N, 3).  Returns the
+
+def _state_tables(x: np.ndarray, w_ab: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw tables of a stack of search states: the one table kernel.
+
+    x holds one state per row, shape (R, 7M); w_ab is
+    _scaled_factors(settings), shape (2, N, 3).  Returns the
     (R, 2, N, M) stack of (A', B') pairs plus a mask of the rows whose
     3x3 biorthogonalizing system was solvable; unsolvable rows carry
-    zero tables.
+    zero tables.  Weights are floored at DEFAULT_RHO_MIN.
     """
     count = x.shape[0]
-    srho = np.sqrt(floor_normalized_weights(x[:, 6 * m :], rho_min))
+    srho = np.sqrt(floor_normalized_weights(x[:, 6 * m :], DEFAULT_RHO_MIN))
     frame = project_out(x[:, : 6 * m].reshape(count, 6, m), srho)
     q = frame[:, :3]
     cross_t = frame[:, 3:] @ q.transpose(0, 2, 1)
@@ -249,31 +255,26 @@ def _scores(tables: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def state_to_model(x: np.ndarray, settings: SettingsEnsemble) -> DiscreteLhvModel:
     """Materialize the discrete model a length-7M search state encodes.
 
-    Re-applies the exact projections and table formulas, then balances
-    the q/t scale: with both tables normalized by their own largest
-    entry the certified visibility is 1/(max|A'| max|B'|), capped at 1.
-    Frame rows paired with zero singular values never reach the tables,
-    so the model is built from the tables directly and certified by
-    validate_model rather than by frame-level checks that would bind
-    those unconstrained rows.
+    Takes the raw tables from _state_tables, the kernel the climb
+    scores with, and subtracts each row's rho-weighted mean.  That mean
+    is zero in exact arithmetic (A' rho = 0), so the correlations move
+    only by round-off, while the marginals stay at zero even where the
+    kernel's round-off along sqrt(rho) does not: an inert M = 4 t half
+    may hold anything.  Then balances the q/t scale: with both tables
+    normalized by their own largest entry the certified visibility is
+    1/(max|A'| max|B'|), capped at 1.  A state whose 3x3
+    biorthogonalizing system is singular raises
+    ConstructionFailureError.
     """
     x = np.asarray(x, dtype=float)
     m = x.size // 7
     if m < 4 or x.shape != (7 * m,):
         raise InvalidInputError(f"state must have length 7M with M >= 4, got shape {x.shape}")
-    rho = floor_normalized_weights(x[6 * m :])
-    srho = np.sqrt(rho)
-    q = project_out(x[: 3 * m].reshape(3, m), srho)
-    t = biorthogonalize(q, project_out(x[3 * m : 6 * m].reshape(3, m), srho))
-    # At M = 4 the t half of a climb state leaves the objective unchanged
-    # (t is fixed by q), so it drifts until biorthogonalize amplifies
-    # round-off along sqrt(rho); project it off again to keep the
-    # marginals at zero.
-    t = project_out(t, srho)
-    svd = gram_svd(settings)
-    sqrt_p = np.sqrt(svd.p)
-    a_raw = (svd.u * sqrt_p) @ (q / srho)
-    b_raw = (svd.v * sqrt_p) @ (t / srho)
+    tables, solved = _state_tables(x[None], _scaled_factors(settings), m)
+    if not solved[0]:
+        raise ConstructionFailureError("the state's 3x3 biorthogonalizing system is singular")
+    rho = floor_normalized_weights(x[6 * m :], DEFAULT_RHO_MIN)
+    a_raw, b_raw = tables[0] - (tables[0] @ rho)[..., None]
     max_a = float(np.max(np.abs(a_raw)))
     max_b = float(np.max(np.abs(b_raw)))
     prod = max_a * max_b
@@ -331,9 +332,7 @@ def _climb(
     state, the score and the best as they are.  Returns (best value per
     restart, best state per restart, steps taken).
     """
-    svd = gram_svd(settings)
-    sqrt_p = np.sqrt(svd.p)
-    w_ab = np.stack([svd.u * sqrt_p, svd.v * sqrt_p])
+    w_ab = _scaled_factors(settings)
     m = config.m_states
     dim = 7 * m
     count = config.restarts
@@ -346,7 +345,7 @@ def _climb(
         for _ in range(100):
             x[r] = np.concatenate([rng.standard_normal(6 * m), rng.uniform(0.0, 1.0, m)])
             evals += 1
-            tables, solved = _state_tables(x[r : r + 1], w_ab, m, DEFAULT_RHO_MIN)
+            tables, solved = _state_tables(x[r : r + 1], w_ab, m)
             if solved[0] and _scores(tables, exact)[0][0] > -np.inf:
                 break
         else:
@@ -356,7 +355,7 @@ def _climb(
     ladder.append(math.inf)  # exact objective on the final rung
     phase_len = max(1, config.inner_iters // len(ladder))
     beta = np.full(count, ladder[0])
-    score, best_v = _scores(_state_tables(x, w_ab, m, DEFAULT_RHO_MIN)[0], beta)
+    score, best_v = _scores(_state_tables(x, w_ab, m)[0], beta)
     best_x = x.copy()
 
     # Per-restart counters are lists, cheaper than arrays to read singly.
@@ -393,7 +392,7 @@ def _climb(
             phase = steps[r] // phase_len
             if steps[r] > 0 and steps[r] % phase_len == 0 and phase < len(ladder):
                 beta[r] = ladder[phase]
-                tables, _ = _state_tables(x[r : r + 1], w_ab, m, DEFAULT_RHO_MIN)
+                tables, _ = _state_tables(x[r : r + 1], w_ab, m)
                 score[r] = float(_scores(tables, beta[r : r + 1])[0][0])
             if phase + 1 < len(ladder):
                 rung_end = (phase + 1) * phase_len
@@ -428,7 +427,7 @@ def _climb(
             # t-half moves leave the tables unchanged: rejections, unscored.
             scored = (move < 3 * m) | (move >= 6 * m)
         if m > 4 or scored.any():
-            tables, solved = _state_tables(candidate[scored], w_ab, m, DEFAULT_RHO_MIN)
+            tables, solved = _state_tables(candidate[scored], w_ab, m)
             scores, values = _scores(tables, beta[owner[scored]])
             new_score[scored], new_v[scored] = scores, values
             improved[scored] = solved & (scores > np.array(score)[owner[scored]])

@@ -340,6 +340,15 @@ def test_settings_loader_rejects_malformed_files(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(InvalidInputError):
         load_settings(str(garbled))
+    for name, side in (
+        ("ragged", [[1, 0], [0, 1, 0]]),
+        ("string", [["x", 0, 1]]),
+        ("object", {"x": 1}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"a": side, "b": [[0, 0, 1]]}))
+        with pytest.raises(InvalidInputError):
+            load_settings(str(path))
 
 
 def test_settings_loader_normalizes_rows(tmp_path):

@@ -7,6 +7,7 @@ from lvt import search as search_module
 from lvt import seesaw as seesaw_module
 from lvt import (
     DEFAULT_RHO_MIN,
+    ConstructionFailureError,
     Direction,
     InvalidInputError,
     SearchConfig,
@@ -15,7 +16,6 @@ from lvt import (
     extrapolate,
     fit_power_law,
     floor_normalized_weights,
-    gram_svd,
     inner_maximize,
     max_visibility_lp,
     n_sweep,
@@ -24,7 +24,7 @@ from lvt import (
     state_to_model,
     validate_model,
 )
-from lvt.construct import biorthogonalize, project_out
+from lvt.construct import project_out
 from lvt.core import seeded_rng
 
 from directions import random_direction
@@ -68,23 +68,30 @@ def test_inner_maximum_never_exceeds_exact_optimum():
             assert est.value <= oracle.value + 5e-3
 
 
-@pytest.mark.parametrize("n, m", [(2, 4), (2, 5), (30, 4)])
+@pytest.mark.parametrize("n, m", [(2, 4), (2, 5), (30, 4), (4, 34), (1000, 4)])
 def test_kernel_value_matches_rebuilt_model(n, m):
-    # The climb scores states with the stacked kernel; state_to_model
-    # rebuilds the model one state at a time.  Both must read the same
-    # exact visibility, and the rebuilt model must certify it.
+    # The climb scores states with the stacked kernel, and state_to_model
+    # builds the model of one state with the same kernel.  The two read
+    # the same exact visibility up to the round-off of the model's
+    # mean subtraction, and the model must certify it.
     rng = np.random.default_rng([89, n, m])
     settings = SettingsEnsemble.random(n, rng)
-    svd = gram_svd(settings)
-    w_ab = np.stack([svd.u * np.sqrt(svd.p), svd.v * np.sqrt(svd.p)])
+    w_ab = search_module._scaled_factors(settings)
     x = np.concatenate([rng.standard_normal((40, 6 * m)), rng.uniform(size=(40, m))], axis=1)
-    tables, solved = search_module._state_tables(x, w_ab, m, DEFAULT_RHO_MIN)
+    tables, solved = search_module._state_tables(x, w_ab, m)
     assert solved.all()
     _, values = search_module._scores(tables, np.full(40, math.inf))
     for state, value in zip(x, values):
         model = state_to_model(state, settings)
-        assert abs(model.visibility - value) < 1e-9
+        assert abs(model.visibility - value) <= 1e-12 * value
         assert validate_model(model, settings, 1e-8).passed
+
+
+def test_singular_state_raises_construction_failure():
+    # A zero state leaves the 3x3 biorthogonalizing system singular.
+    settings = SettingsEnsemble.random(3, np.random.default_rng(0))
+    with pytest.raises(ConstructionFailureError):
+        state_to_model(np.zeros(28), settings)
 
 
 def test_inner_maximize_deterministic():
@@ -123,7 +130,7 @@ def test_search_below_n_plus_one_squared_climbs_its_full_budget():
     settings = SettingsEnsemble.random(3, np.random.default_rng([133, 3]))
     cfg = SearchConfig(n_settings=3, m_states=15, inner_iters=1000, restarts=2, seed=3)
     _, est = inner_maximize(settings, cfg)
-    assert est.value == 0.7766569143866567
+    assert est.value == 0.7766569143867629
     assert est.iterations_used == 2002
 
 
@@ -131,10 +138,10 @@ def test_m4_model_keeps_zero_marginals():
     # At M = 4 the t half of a state leaves the tables unchanged (t is
     # fixed by q), whatever it holds.  Here it holds 1e9 sqrt(rho) on each
     # row: projecting that off leaves round-off along sqrt(rho), which
-    # biorthogonalize carries into t, so rebuilt without a second
-    # projection the marginal |B rho| misses the 1e-8 bound.
-    # state_to_model projects t off sqrt(rho) again and keeps the
-    # marginals at zero.
+    # the kernel's 3x3 inverse carries into t, so the kernel's raw table
+    # B' has a marginal |B' rho| past the 1e-8 bound.  state_to_model
+    # subtracts each row's rho-weighted mean and keeps the marginals at
+    # zero.
     settings = SettingsEnsemble.random(4, np.random.default_rng([98, 4]))
     cfg = SearchConfig(n_settings=4, m_states=4, inner_iters=4000, restarts=1, seed=98)
     _, best_x, _ = search_module._climb(settings, cfg)
@@ -143,10 +150,10 @@ def test_m4_model_keeps_zero_marginals():
     rho = floor_normalized_weights(x[6 * m :], DEFAULT_RHO_MIN)
     srho = np.sqrt(rho)
     x[3 * m : 6 * m] += np.tile(1e9 * srho, 3)
-    q = project_out(x[: 3 * m].reshape(3, m), srho)
-    t = biorthogonalize(q, project_out(x[3 * m : 6 * m].reshape(3, m), srho))
-    svd = gram_svd(settings)
-    b_raw = (svd.v * np.sqrt(svd.p)) @ (t / srho)
+    w_ab = search_module._scaled_factors(settings)
+    tables, solved = search_module._state_tables(x[None], w_ab, m)
+    assert solved[0]
+    b_raw = tables[0, 1]
     assert np.max(np.abs(b_raw @ rho)) / np.max(np.abs(b_raw)) > 1e-8
     model = state_to_model(x, settings)
     assert validate_model(model, settings, 1e-8).passed
@@ -161,9 +168,7 @@ def stepwise_climb(settings, config, retire=True):
     stops, and so does every higher-index restart, after that step.
     """
     sm = search_module
-    svd = gram_svd(settings)
-    sqrt_p = np.sqrt(svd.p)
-    w_ab = np.stack([svd.u * sqrt_p, svd.v * sqrt_p])
+    w_ab = sm._scaled_factors(settings)
     m = config.m_states
     dim = 7 * m
     count = config.restarts
@@ -174,7 +179,7 @@ def stepwise_climb(settings, config, retire=True):
         while True:
             x[r] = np.concatenate([rng.standard_normal(6 * m), rng.uniform(0.0, 1.0, m)])
             evals += 1
-            tables, solved = sm._state_tables(x[r : r + 1], w_ab, m, DEFAULT_RHO_MIN)
+            tables, solved = sm._state_tables(x[r : r + 1], w_ab, m)
             if solved[0] and sm._scores(tables, np.array([math.inf]))[0][0] > -np.inf:
                 break
     queues = [[] for _ in range(count)]
@@ -186,7 +191,7 @@ def stepwise_climb(settings, config, retire=True):
             queues[r] = list(zip(index, normal))
         return queues[r].pop(0)
 
-    current, _ = sm._state_tables(x, w_ab, m, DEFAULT_RHO_MIN)
+    current, _ = sm._state_tables(x, w_ab, m)
     ladder = [sm._SHARPNESS_BASE * 2.0**k for k in range(sm._SHARPNESS_DOUBLINGS)]
     ladder.append(math.inf)
     beta = ladder[0]
@@ -218,7 +223,7 @@ def stepwise_climb(settings, config, retire=True):
             for row, i in enumerate(scored):
                 index, normal = moves[i]
                 candidate[row, index] += sm._STEP_SCALE * factor[live[i]] * normal
-            tables, solved = sm._state_tables(candidate, w_ab, m, DEFAULT_RHO_MIN)
+            tables, solved = sm._state_tables(candidate, w_ab, m)
             new_score, new_v = sm._scores(tables.copy(), np.full(len(scored), beta))
             for row, i in enumerate(scored):
                 accepted[i] = solved[row] and new_score[row] > score[live[i]]
@@ -301,7 +306,7 @@ def _cross_condition(x, m, rho_min):
 
 
 @pytest.mark.parametrize("n", [2, 30])
-def test_m4_t_half_moves_leave_the_tables_unchanged(n):
+def test_m4_t_half_moves_leave_the_tables_unchanged(monkeypatch, n):
     # At M = 4, t is the dual basis of q inside sqrt(rho)'s 3-dimensional
     # complement, whatever the t half holds, so the climb takes a t-half
     # move as a rejection without scoring it.  The tables then move only
@@ -311,18 +316,20 @@ def test_m4_t_half_moves_leave_the_tables_unchanged(n):
     # At M = 5 the t half counts.
     rng = np.random.default_rng([113, n])
     settings = SettingsEnsemble.random(n, rng)
-    svd = gram_svd(settings)
-    w_ab = np.stack([svd.u * np.sqrt(svd.p), svd.v * np.sqrt(svd.p)])
+    w_ab = search_module._scaled_factors(settings)
+    # The figures above were measured with weights floored at 0.01; the
+    # kernel reads its floor from the module.
     rho_min = 0.01
+    monkeypatch.setattr(search_module, "DEFAULT_RHO_MIN", rho_min)
     for m in (4, 5):
         x = np.concatenate([rng.standard_normal((4, 6 * m)), rng.uniform(size=(4, m))], axis=1)
-        base, solved = search_module._state_tables(x, w_ab, m, rho_min)
+        base, solved = search_module._state_tables(x, w_ab, m)
         assert solved.all()
         largest = 0.0
         for k in range(3 * m, 6 * m):
             moved = x.copy()
             moved[:, k] += 0.5 * rng.standard_normal(4)
-            tables, solved = search_module._state_tables(moved, w_ab, m, rho_min)
+            tables, solved = search_module._state_tables(moved, w_ab, m)
             assert solved.all()
             # Each side relative to its own largest entry, as the
             # scale-balanced visibility reads them.
