@@ -230,13 +230,22 @@ def floor_normalized_weights(raw: Sequence[float], rho_min: float = DEFAULT_RHO_
     raw_arr = np.asarray(raw, dtype=float)
     if raw_arr.ndim < 1 or raw_arr.shape[-1] < 1:
         raise InvalidInputError(f"weights must form a nonempty array, got shape {raw_arr.shape}")
-    m = raw_arr.shape[-1]
-    if not (0.0 < rho_min <= 1.0 / m):
+    if not (0.0 < rho_min <= 1.0 / raw_arr.shape[-1]):
         raise InvalidInputError(f"rho_min must lie in (0, 1/M], got {rho_min!r}")
-    w = np.maximum(raw_arr, 0.0)
+    return _floor_normalized(raw_arr, rho_min)
+
+
+def _floor_normalized(raw: np.ndarray, rho_min: float) -> np.ndarray:
+    """floor_normalized_weights without its input checks, for a float array.
+
+    The search's table kernel calls this on every batch of states, where
+    the checks would cost more than the arithmetic.
+    """
+    m = raw.shape[-1]
+    w = np.maximum(raw, 0.0)
     total = w.sum(axis=-1, keepdims=True)
-    flat = ~((total > 0.0) & (total < np.inf))
-    if flat.any():
+    if not (total.min() > 0.0 and total.max() < np.inf):
+        flat = ~((total > 0.0) & (total < np.inf))
         w[np.broadcast_to(flat, w.shape)] = 1.0
         total[flat] = float(m)
     return rho_min + (1.0 - m * rho_min) * w / total

@@ -26,6 +26,17 @@ def _options(presolve: bool) -> "highs.HighsOptions":
 
 _OPTIONS = {True: _options(True), False: _options(False)}
 
+# One solver per process serves every LP of at most _SHARED_NONZEROS
+# nonzeros: building a HiGHS instance costs about 95 us, more than many
+# of the see-saw's LPs take to solve.  Each solve clears the previous
+# solution and basis and passes the options again, so it starts cold, as
+# a new instance would.  HiGHS keeps its buffers after a clear, so a
+# larger LP, such as an N = 8 oracle master, gets an instance of its
+# own, freed with it: sharing one raised that workload's peak RSS from
+# 94 to 101-104 MB.
+_SHARED_NONZEROS = 10_000
+_SOLVER = highs._Highs()
+
 
 def csc(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, indices, data) of a dense matrix's nonzeros, column by column."""
@@ -55,7 +66,11 @@ def maximize_last(
     lp.col_cost_ = np.append(np.zeros(lower.shape[0] - 1), -1.0)
     lp.col_lower_, lp.col_upper_ = lower, upper
     lp.row_lower_ = lp.row_upper_ = b_eq
-    solver = highs._Highs()
+    if keep.sum() <= _SHARED_NONZEROS:
+        solver = _SOLVER
+        solver.clearSolver()
+    else:
+        solver = highs._Highs()
     solver.passOptions(_OPTIONS[presolve])
     solver.passModel(lp)
     solver.run()

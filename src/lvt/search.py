@@ -26,9 +26,10 @@ or 4, started from a one-step climb, it ends 0.36-0.59 lower.
 The climb state is a flat vector of 7M reals: the 6 raw frame vectors
 plus raw weights.  One stacked kernel, _state_tables, turns states
 into raw tables: it re-projects the constraints (floor simplex for
-rho, sqrt(rho)-orthogonality, biorthogonality via an explicit 3x3
-inverse).  The climb reads the certified visibility off its tables,
-and state_to_model builds the reported model from them.  The
+rho, sqrt(rho)-orthogonality, biorthogonality via the closed-form
+adjugate of a 3x3 system).  The climb reads the certified visibility
+off its tables, and state_to_model builds the reported model from
+them.  The
 relative scale of q versus t is balanced in closed form: scaling q by s
 multiplies the A table by s and the B table by 1/s, so the best
 achievable value at a given state is 1/(max|A'| max|B'|), capped at 1.
@@ -36,10 +37,11 @@ Each restart draws its moves in bulk, 256 at a time, into a queue.
 Most moves are rejected, so each restart scores a block of its next
 queued moves against its current state, and one stacked evaluation
 scores the blocks of all live restarts; the restart takes the first
-improving move, exactly as a one-move-per-step climb would.  Once a
-restart's best reaches V = 1, it and every higher-index restart stop
-climbing, since none of them can then win; such calls count fewer
-steps.
+improving move, exactly as a one-move-per-step climb would.  Restarts
+advance independently.  Once a restart's best reaches V = 1, it and
+every higher-index restart stop at that step, since none of them can
+then win: a restart that has already climbed past it is cut back to it
+from its history of best improvements.  Such calls count fewer steps.
 
 At M = 4 the t half of the state is inert.  After projection, q and t
 both lie in sqrt(rho)'s 3-dimensional complement, so biorthogonalizing
@@ -75,6 +77,7 @@ from .construct import (
     DEFAULT_RHO_MIN,
     DiscreteLhvModel,
     SettingsEnsemble,
+    _floor_normalized,
     floor_normalized_weights,
     gram_svd,
     project_out,
@@ -133,6 +136,13 @@ _DRAWS = 256
 # subnormal results, while exp(-700) ~ 1e-304 adds nothing to a sum
 # that the peak entry's exp(0) = 1 already holds.
 _EXPONENT_FLOOR = -700.0
+
+# Adjugate of a row-major 3x3 matrix c[0..8]: with f = c[_ADJ_FACTORS],
+# entry k is f[k] f[18+k] - f[9+k] f[27+k].
+_ADJ_FACTORS = np.array([
+    4, 2, 1, 5, 0, 2, 3, 1, 0,  5, 1, 2, 3, 2, 0, 4, 0, 1,
+    8, 7, 5, 6, 8, 3, 7, 6, 4,  7, 8, 4, 8, 6, 5, 6, 7, 3,
+])
 
 _BOOTSTRAP_RESAMPLES = 200
 _SETTINGS_JITTER = 0.25
@@ -195,30 +205,34 @@ def _state_tables(x: np.ndarray, w_ab: np.ndarray, m: int) -> tuple[np.ndarray, 
     x holds one state per row, shape (R, 7M); w_ab is
     _scaled_factors(settings), shape (2, N, 3).  Returns the
     (R, 2, N, M) stack of (A', B') pairs plus a mask of the rows whose
-    3x3 biorthogonalizing system was solvable; unsolvable rows carry
-    zero tables.  Weights are floored at DEFAULT_RHO_MIN.
+    3x3 biorthogonalizing system was solvable (nonzero determinant);
+    unsolvable rows carry zero tables.  Weights are floored at
+    DEFAULT_RHO_MIN.
     """
     count = x.shape[0]
-    srho = np.sqrt(floor_normalized_weights(x[:, 6 * m :], DEFAULT_RHO_MIN))
+    srho = np.sqrt(_floor_normalized(x[:, 6 * m :], DEFAULT_RHO_MIN))
     frame = project_out(x[:, : 6 * m].reshape(count, 6, m), srho)
-    q = frame[:, :3]
-    cross_t = frame[:, 3:] @ q.transpose(0, 2, 1)
-    solved = np.ones(count, dtype=bool)
-    # An explicit 3x3 inverse, then a product, is cheaper than a batched
-    # solve at the climb's batch sizes (22 against 64 us for 12 systems
-    # at M = 34, 104 against 129 us for 96 at M = 5) and agrees with it
-    # to round-off.
-    try:
-        frame[:, 3:] = np.linalg.inv(cross_t) @ frame[:, 3:]
-    except np.linalg.LinAlgError:
-        for r in range(count):
-            try:
-                frame[r, 3:] = np.linalg.inv(cross_t[r]) @ frame[r, 3:]
-            except np.linalg.LinAlgError:
-                frame[r] = 0.0
-                solved[r] = False
-    frame /= srho[:, None, :]
-    return w_ab @ frame.reshape(count, 2, 3, m), solved
+    # Each row's system t q^T is solved by its adjugate: one gather of
+    # cofactor products from the flattened 3x3 matrix, the determinant
+    # from its first row, and 1/det folded into the final division.  At
+    # the climb's batch sizes this costs a fraction of np.linalg.inv's
+    # per-matrix LAPACK calls and agrees with it to round-off.
+    cross = (frame[:, 3:] @ frame[:, :3].transpose(0, 2, 1)).reshape(count, 9)
+    factors = cross[:, _ADJ_FACTORS]
+    products = factors[:, :18] * factors[:, 18:]
+    adjugate = products[:, :9] - products[:, 9:]
+    # Unfused products, then a sum: with two equal q rows (two equal
+    # columns of the system) the terms cancel to exactly zero.
+    det = (cross[:, :3] * adjugate[:, ::3]).sum(axis=1)
+    solved = det != 0.0
+    frame[:, 3:] = adjugate.reshape(count, 3, 3) @ frame[:, 3:]
+    divisor = np.empty((count, 2, 1, m))
+    divisor[:, 0, 0] = srho
+    np.multiply(srho, det[:, None], out=divisor[:, 1, 0])
+    if not solved.all():
+        frame[~solved] = 0.0
+        divisor[~solved] = 1.0
+    return w_ab @ (frame.reshape(count, 2, 3, m) / divisor), solved
 
 
 def _scores(tables: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,18 +249,25 @@ def _scores(tables: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarra
     magnitudes = np.abs(tables, out=tables).reshape(count, 2, -1)
     peaks = magnitudes.max(axis=2)
     visibility = 1.0 / np.maximum(peaks[:, 0] * peaks[:, 1], 1.0)
-    score = visibility.copy()
     soft = np.isfinite(beta)
-    if soft.any():
-        sharp = np.where(soft, beta, 1.0)[:, None]
+    all_soft = soft.all()
+    if all_soft or soft.any():
+        sharp = (beta if all_soft else np.where(soft, beta, 1.0))[:, None]
         magnitudes -= peaks[:, :, None]
         magnitudes *= sharp[:, :, None]
-        np.maximum(magnitudes, _EXPONENT_FLOOR, out=magnitudes)
+        # Exponents are at least -beta * peak, so below 700 the floor
+        # clamps nothing.
+        if not (sharp * peaks).max() < -_EXPONENT_FLOOR:
+            np.maximum(magnitudes, _EXPONENT_FLOOR, out=magnitudes)
         spread = np.exp(magnitudes, out=magnitudes).sum(axis=2)
         soft_max = np.log(spread) / sharp + peaks
-        score[soft] = (1.0 / (soft_max[:, 0] * soft_max[:, 1]))[soft]
-    finite = np.isfinite(peaks).all(axis=1)
-    if not finite.all():
+        score = 1.0 / (soft_max[:, 0] * soft_max[:, 1])
+        if not all_soft:
+            score = np.where(soft, score, visibility)
+    else:
+        score = visibility.copy()
+    if not np.isfinite(peaks).all():
+        finite = np.isfinite(peaks).all(axis=1)
         score[~finite] = -np.inf
         visibility[~finite] = 0.0
     return score, visibility
@@ -262,14 +283,16 @@ def state_to_model(x: np.ndarray, settings: SettingsEnsemble) -> DiscreteLhvMode
     kernel's round-off along sqrt(rho) does not: an inert M = 4 t half
     may hold anything.  Then balances the q/t scale: with both tables
     normalized by their own largest entry the certified visibility is
-    1/(max|A'| max|B'|), capped at 1.  A state whose 3x3
-    biorthogonalizing system is singular raises
-    ConstructionFailureError.
+    1/(max|A'| max|B'|), capped at 1.  A state holding NaN or inf
+    raises InvalidInputError; one whose 3x3 biorthogonalizing system is
+    singular raises ConstructionFailureError.
     """
     x = np.asarray(x, dtype=float)
     m = x.size // 7
     if m < 4 or x.shape != (7 * m,):
         raise InvalidInputError(f"state must have length 7M with M >= 4, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("state is not finite: it holds NaN or inf")
     tables, solved = _state_tables(x[None], _scaled_factors(settings), m)
     if not solved[0]:
         raise ConstructionFailureError("the state's 3x3 biorthogonalizing system is singular")
@@ -318,12 +341,14 @@ def _climb(
     the iteration budget.
 
     Once restart r's best reaches V = 1, restart r and every restart
-    with a higher index stop climbing: no value beats 1, and the winner's
-    tie rule picks the lowest index, so the winner is unchanged.  They
-    stop after the step at which r reached 1, as in a stepwise climb
-    whose restarts advance in lockstep; for that, no restart runs ahead
-    of a lower-index restart that is still climbing.  So every restart
-    takes exactly the steps of the stepwise climb.
+    with a higher index stop after the step at which r reached 1: no
+    value beats 1, and the winner's tie rule picks the lowest index, so
+    the winner is unchanged.  Restarts do not wait for each other, so a
+    higher-index restart may already have climbed past that step.  Each
+    restart keeps its history of best improvements (step, value, state)
+    and is cut back to its best at that step, and its steps to it.  So
+    every restart ends with exactly the steps and best of a stepwise
+    climb whose restarts advance in lockstep.
 
     At M = 4 a move in the t half (coordinates 3M to 6M) is inert, so it
     is left out of the kernel call and taken as a rejection, as exact
@@ -356,10 +381,12 @@ def _climb(
     phase_len = max(1, config.inner_iters // len(ladder))
     beta = np.full(count, ladder[0])
     score, best_v = _scores(_state_tables(x, w_ab, m)[0], beta)
-    best_x = x.copy()
 
     # Per-restart counters are lists, cheaper than arrays to read singly.
     score, best_v = score.tolist(), best_v.tolist()
+    # Each restart's best improvements, (steps taken, value, state), so
+    # that a restart cut back to an earlier step finds its best there.
+    history = [[(0, best_v[r], x[r].copy())] for r in range(count)]
     block = _block_moves(settings.n_settings, m)
     factor = [1.0] * count
     rejections = [0] * count
@@ -385,24 +412,19 @@ def _climb(
         if not climbing:
             break
         sizes = []
-        # A restart's block stops at the steps a lower-index restart can
-        # reach in this block; moves past them could not be taken.
-        ahead = math.inf
+        shifts = []  # queue column minus block row, per restart
+        row = 0
+        rescored = []
         for r in climbing:
             phase = steps[r] // phase_len
             if steps[r] > 0 and steps[r] % phase_len == 0 and phase < len(ladder):
                 beta[r] = ladder[phase]
-                tables, _ = _state_tables(x[r : r + 1], w_ab, m)
-                score[r] = float(_scores(tables, beta[r : r + 1])[0][0])
+                rescored.append(r)
             if phase + 1 < len(ladder):
                 rung_end = (phase + 1) * phase_len
             else:
                 rung_end = config.inner_iters
-            size = max(0, min(
-                block, _PATIENCE - rejections[r], rung_end - steps[r],
-                limit[r] - steps[r], ahead - steps[r],
-            ))
-            ahead = min(ahead, steps[r] + size)
+            size = min(block, _PATIENCE - rejections[r], rung_end - steps[r], limit[r] - steps[r])
             if filled[r] - cursor[r] < size:
                 rest = filled[r] - cursor[r]
                 queue_index[r, :rest] = queue_index[r, cursor[r] : filled[r]]
@@ -411,43 +433,52 @@ def _climb(
                 queue_step[r, rest : rest + _DRAWS] = rngs[r].standard_normal(_DRAWS)
                 cursor[r] = 0
                 filled[r] = rest + _DRAWS
+            shifts.append(cursor[r] - row)
             sizes.append(size)
-        owner = np.array(climbing).repeat(sizes)
+            row += size
+        if rescored:
+            tables, _ = _state_tables(x[rescored], w_ab, m)
+            for r, value in zip(rescored, _scores(tables, beta[rescored])[0].tolist()):
+                score[r] = value
+        owner, shift = np.array([climbing, shifts]).repeat(sizes, axis=1)
+        scale, current = np.array(
+            [[_STEP_SCALE * factor[r] for r in climbing], [score[r] for r in climbing]]
+        ).repeat(sizes, axis=1)
         rows = np.arange(owner.shape[0])
-        column = np.array(cursor)[owner] + rows - (np.cumsum(sizes) - sizes).repeat(sizes)
+        column = rows + shift
         move = queue_index[owner, column]
         candidate = x[owner]
-        candidate[rows, move] += _STEP_SCALE * np.array(factor)[owner] * queue_step[owner, column]
-        total = rows.shape[0]
-        improved = np.zeros(total, dtype=bool)
-        new_score = np.empty(total)
-        new_v = np.empty(total)
-        scored = slice(None)
-        if m == 4:
+        candidate[rows, move] += scale * queue_step[owner, column]
+        if m > 4:
+            tables, solved = _state_tables(candidate, w_ab, m)
+            new_score, new_v = _scores(tables, beta[owner])
+            improved = solved & (new_score > current)
+        else:
             # t-half moves leave the tables unchanged: rejections, unscored.
             scored = (move < 3 * m) | (move >= 6 * m)
-        if m > 4 or scored.any():
-            tables, solved = _state_tables(candidate[scored], w_ab, m)
-            scores, values = _scores(tables, beta[owner[scored]])
-            new_score[scored], new_v[scored] = scores, values
-            improved[scored] = solved & (scores > np.array(score)[owner[scored]])
+            total = rows.shape[0]
+            improved = np.zeros(total, dtype=bool)
+            new_score = np.empty(total)
+            new_v = np.empty(total)
+            if scored.any():
+                tables, solved = _state_tables(candidate[scored], w_ab, m)
+                scores, values = _scores(tables, beta[owner[scored]])
+                new_score[scored], new_v[scored] = scores, values
+                improved[scored] = solved & (scores > current[scored])
         hits = improved.tolist()
         start = 0
-        reached = math.inf  # steps taken by the lower-index restarts
         for r, size in zip(climbing, sizes):
-            usable = max(0, min(size, limit[r] - steps[r], reached - steps[r]))
-            hit = True in hits[start : start + usable]
-            taken = hits.index(True, start, start + usable) - start + 1 if hit else usable
+            hit = True in hits[start : start + size]
+            taken = hits.index(True, start, start + size) - start + 1 if hit else size
             cursor[r] += taken
             steps[r] += taken
-            evals += taken
             if hit:
                 i = start + taken - 1
                 x[r] = candidate[i]
                 score[r] = float(new_score[i])
                 if new_v[i] > best_v[r]:
                     best_v[r] = float(new_v[i])
-                    best_x[r] = candidate[i]
+                    history[r].append((steps[r], best_v[r], candidate[i].copy()))
                     if best_v[r] >= 1.0:
                         limit[r:] = [min(cap, steps[r]) for cap in limit[r:]]
                 rejections[r] = 0
@@ -455,15 +486,22 @@ def _climb(
                 if streak[r] >= 10:
                     factor[r] = min(factor[r] * 2.0, _FACTOR_CAP)
                     streak[r] = 0
-            elif taken:
+            else:
                 streak[r] = 0
                 rejections[r] += taken
                 if rejections[r] >= _PATIENCE:
                     factor[r] *= 0.5
                     rejections[r] = 0
-            reached = min(reached, steps[r])
             start += size
-    return best_v, best_x, evals
+    # A restart that climbed past its limit (a lower-index restart
+    # reached V = 1 at an earlier step) is cut back to it.
+    best_x = np.empty((count, dim))
+    for r in range(count):
+        steps[r] = min(steps[r], limit[r])
+        while history[r][-1][0] > steps[r]:
+            history[r].pop()
+        _, best_v[r], best_x[r] = history[r][-1]
+    return best_v, best_x, evals + sum(steps)
 
 
 def _climb_iters(n: int, config: SearchConfig) -> int:
@@ -484,10 +522,10 @@ def inner_maximize(
     m_states states, and its visibility is the estimate's value, which
     is never below the climb's.
 
-    Restarts draw from independent streams and advance together.  A
+    Restarts draw from independent streams and are scored together.  A
     restart whose best reaches V = 1 stops, and so does every restart
     with a higher index; the winner is the same as if they climbed on,
-    but estimate.iterations_used counts only the steps taken.
+    but estimate.iterations_used counts only the steps up to that step.
 
     When m_states >= (n_settings+1)^2, every basic optimum of the
     finish's weight LP fits in m_states states, so the finish reaches

@@ -88,6 +88,13 @@ _CORRECTION_PASSES = 3
 # Tolerance the rebuilt model must pass; tighter than the 1e-8 promise.
 _CERTIFY_TOL = 1e-9
 
+# The corrections can leave a table entry past 1 by round-off: at N = 1
+# an LP optimum at V = 1 came back with max|A| = 1 + 4e-16 and
+# max|B| = 1 + 9e-16.  Overshoots up to this are clipped rather than
+# rescaled, so they cost no visibility; validate_model at _CERTIFY_TOL
+# still gates the result.
+_CLIP_SLACK = 1e-12
+
 
 def _span(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(basis, coordinates) with mat = basis @ coordinates, basis orthonormal."""
@@ -194,6 +201,12 @@ def weight_lp(
     return solved[0][:-1], float(solved[0][-1])
 
 
+def _table_scale(table: np.ndarray) -> float:
+    """Divisor that brings a table into [-1, 1], or 1 within _CLIP_SLACK."""
+    peak = float(np.max(np.abs(table)))
+    return peak if peak > 1.0 + _CLIP_SLACK else 1.0
+
+
 def _correct(
     fixed: np.ndarray, table: np.ndarray, rho: np.ndarray, visibility: float, target: GramSvd
 ) -> np.ndarray:
@@ -227,7 +240,8 @@ def certified_model(
     Drops zero-weight states and renormalizes the rest, corrects the
     correlations toward visibility * gram by alternating least squares,
     removes the marginals, rescales both tables into [-1, 1] (lowering
-    the visibility by the same factor), and splits the heaviest
+    the visibility by the same factor; overshoots of at most _CLIP_SLACK
+    are clipped instead), and splits the heaviest
     surviving states until there are m_states of them.
     """
     live = rho > _DEAD_WEIGHT
@@ -243,10 +257,9 @@ def certified_model(
         b = _correct(a, b, rho, visibility, svd_t)
     a = a - (a @ rho)[:, None]
     b = b - (b @ rho)[:, None]
-    scale_a = max(1.0, float(np.max(np.abs(a))))
-    scale_b = max(1.0, float(np.max(np.abs(b))))
-    a = a / scale_a
-    b = b / scale_b
+    scale_a, scale_b = _table_scale(a), _table_scale(b)
+    a = np.clip(a / scale_a, -1.0, 1.0)
+    b = np.clip(b / scale_b, -1.0, 1.0)
     visibility = min(1.0, visibility / (scale_a * scale_b))
     while rho.shape[0] < m_states:
         heaviest = int(np.argmax(rho))

@@ -102,6 +102,17 @@ def test_search_extrapolate_appends_limit_row(capsys, tmp_path):
     assert int(rows[-1][0]) == 0  # the fitted limit has no settings count
 
 
+def test_search_at_one_setting_reports_exactly_one(capsys):
+    code, out, _ = run_cli(
+        capsys, ["search", "--n", "1,2", "--m", "9", "--outer-iters", "3", "--seed", "2", "--json"]
+    )
+    assert code == EXIT_OK
+    first = json.loads(out)["estimates"][0]
+    assert first["n_settings"] == 1
+    assert first["value"] == 1.0
+    assert first["std_error"] == 0.0
+
+
 def test_search_extrapolate_needs_three_distinct_counts(capsys):
     code, _, err = run_cli(
         capsys, ["search", "--n", "2,3", "--extrapolate"] + TINY_SEARCH

@@ -113,6 +113,25 @@ def test_infeasible_lp_returns_none():
         assert solved is None
 
 
+def test_shared_solver_repeats_a_solve_after_an_infeasible_lp(monkeypatch):
+    # One HiGHS instance serves every small LP, so an infeasible LP in
+    # between must leave no basis or status that changes the next one.
+    settings, model = span_model(4, 10, 17)
+    args, kwargs = recorded_lps(
+        monkeypatch, seesaw_module,
+        lambda: side_lp(np.array(model.b_table), np.array(model.rho), settings.svd),
+    )[0]
+    first = lp_module.maximize_last(*args, **kwargs)
+    columns = (np.array([0, 2, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
+    assert lp_module.maximize_last(
+        columns, np.array([1.0, 2.0]), np.zeros(2), np.full(2, 5.0)
+    ) is None
+    again = lp_module.maximize_last(*args, **kwargs)
+    assert np.array_equal(again[0], first[0])
+    assert np.array_equal(again[1], first[1])
+    assert again[2] == first[2]
+
+
 def test_failed_oracle_master_raises(monkeypatch):
     monkeypatch.setattr(lp_module._OPTIONS[False], "simplex_iteration_limit", 0)
     gram = SettingsEnsemble.random(4, np.random.default_rng(3)).gram

@@ -55,6 +55,16 @@ def test_single_pair_converges_to_full_visibility():
         assert validate_model(model, settings, 1e-8).passed
 
 
+def test_single_setting_reaches_exactly_one():
+    # The finish's LP reaches V = 1 there; its rebuilt tables overshoot 1
+    # by round-off, which certified_model clips instead of rescaling.
+    settings = SettingsEnsemble.random(1, np.random.default_rng([1, 1]))
+    cfg = SearchConfig(n_settings=1, m_states=4, restarts=3, seed=1)
+    model, est = inner_maximize(settings, cfg)
+    assert est.value == 1.0
+    assert validate_model(model, settings, 1e-9).passed
+
+
 def test_inner_maximum_never_exceeds_exact_optimum():
     rng = np.random.default_rng(83)
     for n, m in ((2, 4), (3, 4), (4, 8)):
@@ -87,11 +97,71 @@ def test_kernel_value_matches_rebuilt_model(n, m):
         assert validate_model(model, settings, 1e-8).passed
 
 
+def inverse_tables(x, w_ab, m):
+    """The kernel's tables, solving each 3x3 system with np.linalg.inv."""
+    out = []
+    for state in x:
+        srho = np.sqrt(floor_normalized_weights(state[6 * m :], DEFAULT_RHO_MIN))
+        q = project_out(state[: 3 * m].reshape(3, m), srho)
+        t = project_out(state[3 * m : 6 * m].reshape(3, m), srho)
+        t = np.linalg.inv(t @ q.T) @ t
+        out.append(w_ab @ (np.stack([q, t]) / srho))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (1000, 4), (2, 34)])
+def test_adjugate_kernel_matches_an_inverse(n, m):
+    rng = np.random.default_rng([139, n, m])
+    settings = SettingsEnsemble.random(n, rng)
+    w_ab = search_module._scaled_factors(settings)
+    x = np.concatenate([rng.standard_normal((50, 6 * m)), rng.uniform(size=(50, m))], axis=1)
+    tables, solved = search_module._state_tables(x, w_ab, m)
+    assert solved.all()
+    expected = inverse_tables(x, w_ab, m)
+    error = np.abs(tables - expected).max(axis=(2, 3)) / np.abs(expected).max(axis=(2, 3))
+    assert error.max() <= 1e-12
+
+
+def test_singular_states_come_back_unsolved():
+    # A zero state, and a state whose q rows 0 and 1 are equal, leave the
+    # 3x3 system singular: its determinant is exactly zero.
+    m = 5
+    rng = np.random.default_rng(149)
+    w_ab = search_module._scaled_factors(SettingsEnsemble.random(3, rng))
+    x = np.concatenate([rng.standard_normal((3, 6 * m)), rng.uniform(size=(3, m))], axis=1)
+    x[1] = 0.0
+    x[2, m : 2 * m] = x[2, :m]
+    tables, solved = search_module._state_tables(x, w_ab, m)
+    assert solved.tolist() == [True, False, False]
+    assert not tables[1:].any()
+
+
 def test_singular_state_raises_construction_failure():
     # A zero state leaves the 3x3 biorthogonalizing system singular.
     settings = SettingsEnsemble.random(3, np.random.default_rng(0))
     with pytest.raises(ConstructionFailureError):
         state_to_model(np.zeros(28), settings)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_is_rejected(bad):
+    settings = SettingsEnsemble.random(3, np.random.default_rng(0))
+    x = np.ones(28)
+    x[5] = bad
+    with pytest.raises(InvalidInputError, match="state is not finite"):
+        state_to_model(x, settings)
+
+
+def test_climb_never_calls_a_matrix_inverse(monkeypatch):
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    settings = SettingsEnsemble.random(3, np.random.default_rng([151, 3]))
+    cfg = SearchConfig(n_settings=3, m_states=5, inner_iters=500, restarts=6, seed=1)
+    best_v, _, evals = search_module._climb(settings, cfg)
+    assert evals >= 6 * 500
+    assert min(best_v) > 0.0
 
 
 def test_inner_maximize_deterministic():
@@ -130,7 +200,7 @@ def test_search_below_n_plus_one_squared_climbs_its_full_budget():
     settings = SettingsEnsemble.random(3, np.random.default_rng([133, 3]))
     cfg = SearchConfig(n_settings=3, m_states=15, inner_iters=1000, restarts=2, seed=3)
     _, est = inner_maximize(settings, cfg)
-    assert est.value == 0.7766569143867629
+    assert est.value == 0.7766569143867951
     assert est.iterations_used == 2002
 
 
@@ -138,7 +208,7 @@ def test_m4_model_keeps_zero_marginals():
     # At M = 4 the t half of a state leaves the tables unchanged (t is
     # fixed by q), whatever it holds.  Here it holds 1e9 sqrt(rho) on each
     # row: projecting that off leaves round-off along sqrt(rho), which
-    # the kernel's 3x3 inverse carries into t, so the kernel's raw table
+    # the kernel's 3x3 solve carries into t, so the kernel's raw table
     # B' has a marginal |B' rho| past the 1e-8 bound.  state_to_model
     # subtracts each row's rho-weighted mean and keeps the marginals at
     # zero.
@@ -254,21 +324,33 @@ def stepwise_climb(settings, config, retire=True):
 
 @pytest.mark.parametrize(
     "n, m, restarts",
-    [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3), (4, 4, 6), (2, 10, 3)],
+    [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3), (4, 4, 6), (2, 10, 3), (2, 5, 6)],
 )
 def test_block_climb_matches_stepwise_reference(monkeypatch, n, m, restarts):
-    # A patience of 7 halves the step factor often enough that blocks end
-    # on halvings, restarts run out early, and blocks meet the rung ends.
-    # At (1, 4, 3) restart 1 reaches V = 1, so restart 2 retires while
-    # restart 0 climbs on.
-    monkeypatch.setattr(search_module, "_PATIENCE", 7)
-    settings = SettingsEnsemble.random(n, np.random.default_rng([107, n, m]))
-    cfg = SearchConfig(n_settings=n, m_states=m, inner_iters=300, restarts=restarts, seed=5)
+    # Short climbs take a patience of 7, which halves the step factor
+    # often enough that blocks end on halvings, restarts run out early,
+    # and blocks meet the rung ends.  At (1, 4, 3) restart 1 reaches
+    # V = 1, so restart 2 retires while restart 0 climbs on.  (2, 5, 6)
+    # is a full climb at the default patience and budget: restart 0
+    # reaches V = 1 at step 525, after restarts 1, 3 and 5 have climbed
+    # past it, so they are cut back to that step.
+    full = (n, m, restarts) == (2, 5, 6)
+    if full:
+        settings = SettingsEnsemble.random(n, np.random.default_rng([1, n]))
+        cfg = SearchConfig(n_settings=n, m_states=m, restarts=restarts, seed=1)
+    else:
+        monkeypatch.setattr(search_module, "_PATIENCE", 7)
+        settings = SettingsEnsemble.random(n, np.random.default_rng([107, n, m]))
+        cfg = SearchConfig(
+            n_settings=n, m_states=m, inner_iters=300, restarts=restarts, seed=5
+        )
     best_v, best_x, evals = search_module._climb(settings, cfg)
     ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
     assert np.array_equal(best_v, ref_v)
     assert np.array_equal(best_x, ref_x)
     assert evals == ref_evals
+    if full:
+        assert best_v[0] == 1.0
 
 
 def test_retiring_at_full_visibility_keeps_the_winner():
@@ -310,10 +392,10 @@ def test_m4_t_half_moves_leave_the_tables_unchanged(monkeypatch, n):
     # At M = 4, t is the dual basis of q inside sqrt(rho)'s 3-dimensional
     # complement, whatever the t half holds, so the climb takes a t-half
     # move as a rejection without scoring it.  The tables then move only
-    # by the round-off of the 3x3 inverse, which grows with that system's
-    # condition number: 2.2e-12 relative at a condition number of 2.7e4
-    # among these states, and at most 1.2 eps times it over 320 states.
-    # At M = 5 the t half counts.
+    # by the round-off of the 3x3 solve, which grows with that system's
+    # condition number: 1.9e-12 relative at a condition number of 2.7e4,
+    # and at most 0.6 eps times it, over these 96 moved states.  At
+    # M = 5 the t half counts.
     rng = np.random.default_rng([113, n])
     settings = SettingsEnsemble.random(n, rng)
     w_ab = search_module._scaled_factors(settings)
