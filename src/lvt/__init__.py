@@ -35,7 +35,6 @@ from .construct import (
     GramSvd,
     SettingsEnsemble,
     ValidationReport,
-    floor_normalized_weights,
     gram_svd,
     validate_model,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "chsh_threshold_numeric",
     "extrapolate",
     "fit_power_law",
-    "floor_normalized_weights",
     "gram_svd",
     "inner_maximize",
     "legendre",

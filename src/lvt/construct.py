@@ -23,7 +23,7 @@ lvt.search._state_tables is the one kernel that computes such tables,
 from search states holding raw q, t and weights; the climb scores
 with it and lvt.search.state_to_model builds models from it.  This
 module holds the pieces it uses (the Gram factors, project_out and
-floor_normalized_weights) and validate_model, which certifies any
+_floor_normalized) and validate_model, which certifies any
 model.
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -219,27 +218,16 @@ def project_out(rows: np.ndarray, unit: np.ndarray) -> np.ndarray:
     return rows - (rows @ unit[..., :, None]) * unit[..., None, :]
 
 
-def floor_normalized_weights(raw: Sequence[float], rho_min: float = DEFAULT_RHO_MIN) -> np.ndarray:
+def _floor_normalized(raw: np.ndarray, rho_min: float) -> np.ndarray:
     """Map arbitrary reals onto the weight simplex with a floor.
 
     Negative entries clip to zero; the positive mass is scaled into the
     budget left over after granting every state its floor.  A row with
     no finite positive mass gets equal weights.  Works along the last
-    axis, so a stack of rows maps row by row.
-    """
-    raw_arr = np.asarray(raw, dtype=float)
-    if raw_arr.ndim < 1 or raw_arr.shape[-1] < 1:
-        raise InvalidInputError(f"weights must form a nonempty array, got shape {raw_arr.shape}")
-    if not (0.0 < rho_min <= 1.0 / raw_arr.shape[-1]):
-        raise InvalidInputError(f"rho_min must lie in (0, 1/M], got {rho_min!r}")
-    return _floor_normalized(raw_arr, rho_min)
-
-
-def _floor_normalized(raw: np.ndarray, rho_min: float) -> np.ndarray:
-    """floor_normalized_weights without its input checks, for a float array.
-
-    The search's table kernel calls this on every batch of states, where
-    the checks would cost more than the arithmetic.
+    axis, so a stack of rows maps row by row.  raw is a float array with
+    a last axis of M >= 1 and rho_min lies in (0, 1/M]; nothing checks
+    either, since the search's table kernel calls this on every batch
+    of states.
     """
     m = raw.shape[-1]
     w = np.maximum(raw, 0.0)

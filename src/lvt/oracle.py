@@ -44,8 +44,6 @@ MAX_ORACLE_SETTINGS = 12
 _PRICE_TOL = 1e-9
 # Random instances up to N = 12 converge in at most about 10 rounds.
 _MAX_ROUNDS = 200
-# Presolve costs more than it saves on these dense masters (0.28 s
-# against 0.17 s at N = 8, 3.2 s against 2.3 s at N = 10).
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -69,11 +67,22 @@ def _solve_master(g: np.ndarray, a_cols: np.ndarray, b_cols: np.ndarray):
     b_eq[-1] = 1.0
     upper = np.full(count + 1, np.inf)
     upper[-1] = 1.0
+    # Presolve costs more than it saves on these dense masters (0.28 s
+    # against 0.17 s at N = 8, 3.2 s against 2.3 s at N = 10).
     x, duals, nit = maximize_last(
         csc(a_eq), b_eq, np.zeros(count + 1), upper,
         presolve=False, failure="oracle master LP failed",
     )
     return float(x[-1]), duals[: n * n].reshape(n, n), float(duals[-1]), nit
+
+
+def _check_settings_count(n: int) -> None:
+    """Refuse more than MAX_ORACLE_SETTINGS settings per side."""
+    if n > MAX_ORACLE_SETTINGS:
+        raise ResourceLimitError(
+            f"oracle handles at most {MAX_ORACLE_SETTINGS} settings per side "
+            f"(2^(2N-1) strategies), got {n}"
+        )
 
 
 def max_visibility_for_gram(gram) -> tuple[float, int]:
@@ -89,11 +98,7 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
     if not np.all(np.isfinite(g)) or np.max(np.abs(g)) > 1.0 + 1e-9:
         raise InvalidInputError("gram entries must be finite and lie in [-1, 1]")
     n = g.shape[0]
-    if n > MAX_ORACLE_SETTINGS:
-        raise ResourceLimitError(
-            f"oracle handles at most {MAX_ORACLE_SETTINGS} settings per side "
-            f"(2^(2N-1) strategies), got {n}"
-        )
+    _check_settings_count(n)
 
     # Every gauge-fixed a (a[0] = +1); bit j of row i's index flips a[j + 1].
     bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
@@ -115,7 +120,11 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
 
 
 def max_visibility_lp(settings: SettingsEnsemble) -> VisibilityEstimate:
-    """Exact maximum representable visibility for the given settings."""
+    """Exact maximum representable visibility for the given settings.
+
+    Refuses N > MAX_ORACLE_SETTINGS before building the N x N Gram.
+    """
+    _check_settings_count(settings.n_settings)
     value, iterations = max_visibility_for_gram(settings.gram)
     return VisibilityEstimate(
         value=value,

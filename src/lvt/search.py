@@ -29,19 +29,19 @@ into raw tables: it re-projects the constraints (floor simplex for
 rho, sqrt(rho)-orthogonality, biorthogonality via the closed-form
 adjugate of a 3x3 system).  The climb reads the certified visibility
 off its tables, and state_to_model builds the reported model from
-them.  The
-relative scale of q versus t is balanced in closed form: scaling q by s
-multiplies the A table by s and the B table by 1/s, so the best
-achievable value at a given state is 1/(max|A'| max|B'|), capped at 1.
-Each restart draws its moves in bulk, 256 at a time, into a queue.
-Most moves are rejected, so each restart scores a block of its next
-queued moves against its current state, and one stacked evaluation
-scores the blocks of all live restarts; the restart takes the first
-improving move, exactly as a one-move-per-step climb would.  Restarts
-advance independently.  Once a restart's best reaches V = 1, it and
-every higher-index restart stop at that step, since none of them can
-then win: a restart that has already climbed past it is cut back to it
-from its history of best improvements.  Such calls count fewer steps.
+them.  The relative scale of q versus t is balanced in closed form:
+scaling q by s multiplies the A table by s and the B table by 1/s, so
+the best achievable value at a given state is 1/(max|A'| max|B'|),
+capped at 1.
+
+Each restart draws its moves in bulk, 256 at a time, into a ring that
+holds two such batches, indexed by step.  Most moves are rejected, so
+each restart scores a block of its next moves against its current
+state, and one stacked evaluation scores the blocks of all live
+restarts; the restart takes the first improving move, exactly as a
+one-move-per-step climb would.  Restarts advance independently.  Once a
+restart's best reaches V = 1, it and every higher-index restart stop,
+since none of them can then win, and steps past that one do not count.
 
 At M = 4 the t half of the state is inert.  After projection, q and t
 both lie in sqrt(rho)'s 3-dimensional complement, so biorthogonalizing
@@ -78,7 +78,6 @@ from .construct import (
     DiscreteLhvModel,
     SettingsEnsemble,
     _floor_normalized,
-    floor_normalized_weights,
     gram_svd,
     project_out,
     unit_rows,
@@ -296,7 +295,7 @@ def state_to_model(x: np.ndarray, settings: SettingsEnsemble) -> DiscreteLhvMode
     tables, solved = _state_tables(x[None], _scaled_factors(settings), m)
     if not solved[0]:
         raise ConstructionFailureError("the state's 3x3 biorthogonalizing system is singular")
-    rho = floor_normalized_weights(x[6 * m :], DEFAULT_RHO_MIN)
+    rho = _floor_normalized(x[6 * m :], DEFAULT_RHO_MIN)
     a_raw, b_raw = tables[0] - (tables[0] @ rho)[..., None]
     max_a = float(np.max(np.abs(a_raw)))
     max_b = float(np.max(np.abs(b_raw)))
@@ -324,38 +323,34 @@ def _block_moves(n: int, m: int) -> int:
     return moves
 
 
-def _climb(
-    settings: SettingsEnsemble, config: SearchConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _climb(settings: SettingsEnsemble, config: SearchConfig) -> tuple[float, np.ndarray, int]:
     """All restarts of one call, each scoring a block of moves at a time.
 
     Each restart draws its moves from its own stream, _DRAWS at a time
-    (the coordinates, then the step lengths), into a queue that a
-    stepwise climb (one move per step) would read in the same order.  A
-    block scores a restart's next moves against its current state,
-    stacked with every other live restart's block in one kernel call,
-    and takes the first improving move; the moves before it count as
-    rejections, and the moves after it stay queued.  A block ends where
-    the stepwise climb would change how it scores or moves: at a
-    sharpness rung, at the rejection that halves the step factor, and at
-    the iteration budget.
+    (the coordinates, then the step lengths), into a ring of two
+    batches: its move at step k sits in column k % (2 _DRAWS), so a
+    block, at most _BLOCK_MOVES moves, never reads past the batch after
+    the current one.  A block scores a restart's next moves against its
+    current state, stacked with every other live restart's block in one
+    kernel call, and takes the first improving move; the moves before it
+    count as rejections.  A block ends where a stepwise climb (one move
+    per step) would change how it scores or moves: at a sharpness rung,
+    at the rejection that halves the step factor, and at the iteration
+    budget.
 
     Once restart r's best reaches V = 1, restart r and every restart
-    with a higher index stop after the step at which r reached 1: no
-    value beats 1, and the winner's tie rule picks the lowest index, so
-    the winner is unchanged.  Restarts do not wait for each other, so a
-    higher-index restart may already have climbed past that step.  Each
-    restart keeps its history of best improvements (step, value, state)
-    and is cut back to its best at that step, and its steps to it.  So
-    every restart ends with exactly the steps and best of a stepwise
-    climb whose restarts advance in lockstep.
+    with a higher index stop: no value beats 1, and ties go to the
+    lowest index, so none of them can then win.  Restarts do not wait
+    for each other, so a higher-index restart may already have climbed
+    past that step; its steps past it do not count.
 
     At M = 4 a move in the t half (coordinates 3M to 6M) is inert, so it
     is left out of the kernel call and taken as a rejection, as exact
     arithmetic would take it: it counts as a step and toward the
     patience, ends the run of consecutive acceptances, and leaves the
-    state, the score and the best as they are.  Returns (best value per
-    restart, best state per restart, steps taken).
+    state, the score and the best as they are.  Returns the winner's
+    (best value, best state), the highest value with ties to the lowest
+    restart index, and the steps counted.
     """
     w_ab = _scaled_factors(settings)
     m = config.m_states
@@ -384,9 +379,7 @@ def _climb(
 
     # Per-restart counters are lists, cheaper than arrays to read singly.
     score, best_v = score.tolist(), best_v.tolist()
-    # Each restart's best improvements, (steps taken, value, state), so
-    # that a restart cut back to an earlier step finds its best there.
-    history = [[(0, best_v[r], x[r].copy())] for r in range(count)]
+    best_x = x.copy()
     block = _block_moves(settings.n_settings, m)
     factor = [1.0] * count
     rejections = [0] * count
@@ -399,12 +392,11 @@ def _climb(
         if best_v[r] >= 1.0:
             limit[r:] = [0] * (count - r)
             break
-    # Move queues: row r holds restart r's drawn, not yet taken moves in
-    # columns cursor[r] to filled[r].
-    queue_index = np.empty((count, _DRAWS + block), dtype=np.intp)
-    queue_step = np.empty((count, _DRAWS + block))
-    cursor = [0] * count
-    filled = [0] * count
+    # Restart r's move at step k sits in column k % ring.
+    ring = 2 * _DRAWS
+    ring_index = np.empty((count, ring), dtype=np.intp)
+    ring_step = np.empty((count, ring))
+    drawn = [0] * count
     while True:
         climbing = [
             r for r in range(count) if factor[r] >= _FACTOR_FLOOR and steps[r] < limit[r]
@@ -412,7 +404,7 @@ def _climb(
         if not climbing:
             break
         sizes = []
-        shifts = []  # queue column minus block row, per restart
+        shifts = []  # step minus block row, per restart
         row = 0
         rescored = []
         for r in climbing:
@@ -425,15 +417,12 @@ def _climb(
             else:
                 rung_end = config.inner_iters
             size = min(block, _PATIENCE - rejections[r], rung_end - steps[r], limit[r] - steps[r])
-            if filled[r] - cursor[r] < size:
-                rest = filled[r] - cursor[r]
-                queue_index[r, :rest] = queue_index[r, cursor[r] : filled[r]]
-                queue_step[r, :rest] = queue_step[r, cursor[r] : filled[r]]
-                queue_index[r, rest : rest + _DRAWS] = rngs[r].integers(dim, size=_DRAWS)
-                queue_step[r, rest : rest + _DRAWS] = rngs[r].standard_normal(_DRAWS)
-                cursor[r] = 0
-                filled[r] = rest + _DRAWS
-            shifts.append(cursor[r] - row)
+            if steps[r] + size > drawn[r]:
+                batch = slice(drawn[r] % ring, drawn[r] % ring + _DRAWS)
+                ring_index[r, batch] = rngs[r].integers(dim, size=_DRAWS)
+                ring_step[r, batch] = rngs[r].standard_normal(_DRAWS)
+                drawn[r] += _DRAWS
+            shifts.append(steps[r] - row)
             sizes.append(size)
             row += size
         if rescored:
@@ -445,10 +434,10 @@ def _climb(
             [[_STEP_SCALE * factor[r] for r in climbing], [score[r] for r in climbing]]
         ).repeat(sizes, axis=1)
         rows = np.arange(owner.shape[0])
-        column = rows + shift
-        move = queue_index[owner, column]
+        column = (rows + shift) % ring
+        move = ring_index[owner, column]
         candidate = x[owner]
-        candidate[rows, move] += scale * queue_step[owner, column]
+        candidate[rows, move] += scale * ring_step[owner, column]
         if m > 4:
             tables, solved = _state_tables(candidate, w_ab, m)
             new_score, new_v = _scores(tables, beta[owner])
@@ -470,7 +459,6 @@ def _climb(
         for r, size in zip(climbing, sizes):
             hit = True in hits[start : start + size]
             taken = hits.index(True, start, start + size) - start + 1 if hit else size
-            cursor[r] += taken
             steps[r] += taken
             if hit:
                 i = start + taken - 1
@@ -478,7 +466,7 @@ def _climb(
                 score[r] = float(new_score[i])
                 if new_v[i] > best_v[r]:
                     best_v[r] = float(new_v[i])
-                    history[r].append((steps[r], best_v[r], candidate[i].copy()))
+                    best_x[r] = candidate[i]
                     if best_v[r] >= 1.0:
                         limit[r:] = [min(cap, steps[r]) for cap in limit[r:]]
                 rejections[r] = 0
@@ -493,15 +481,9 @@ def _climb(
                     factor[r] *= 0.5
                     rejections[r] = 0
             start += size
-    # A restart that climbed past its limit (a lower-index restart
-    # reached V = 1 at an earlier step) is cut back to it.
-    best_x = np.empty((count, dim))
-    for r in range(count):
-        steps[r] = min(steps[r], limit[r])
-        while history[r][-1][0] > steps[r]:
-            history[r].pop()
-        _, best_v[r], best_x[r] = history[r][-1]
-    return best_v, best_x, evals + sum(steps)
+    winner = min(range(count), key=lambda r: (-best_v[r], r))
+    evals += sum(min(done, cap) for done, cap in zip(steps, limit))
+    return best_v[winner], best_x[winner], evals
 
 
 def _climb_iters(n: int, config: SearchConfig) -> int:
@@ -514,8 +496,8 @@ def inner_maximize(
 ) -> tuple[DiscreteLhvModel, VisibilityEstimate]:
     """Largest certified V over M-state local models at fixed settings.
 
-    Climbs config.restarts restarts of the SVD construction, keeps the
-    best (ties to the lowest restart index), then runs the
+    Climbs config.restarts restarts of the SVD construction and takes
+    the best (ties to the lowest restart index), then runs the
     alternating-LP finish over general tables and weights on that
     model, seeded from config.seed on its own stream.  The returned
     model passes validate_model at 1e-8, has positive weight on all
@@ -539,9 +521,8 @@ def inner_maximize(
             f"config expects {config.n_settings}"
         )
     climb_config = replace(config, inner_iters=_climb_iters(settings.n_settings, config))
-    best_v, best_x, evals = _climb(settings, climb_config)
-    best_index = min(range(config.restarts), key=lambda r: (-best_v[r], r))
-    model = state_to_model(best_x[best_index], settings)
+    _, state, evals = _climb(settings, climb_config)
+    model = state_to_model(state, settings)
     model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
     estimate = VisibilityEstimate(
         value=model.visibility,

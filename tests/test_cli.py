@@ -219,6 +219,17 @@ def test_oracle_hard_cap_is_resource_error(capsys):
     assert code == EXIT_RESOURCE
 
 
+def test_oracle_cap_is_checked_before_the_gram(capsys, monkeypatch):
+    # An N x N Gram at N = 3000 would take 72 MB; past the cap the oracle
+    # must refuse without building it.
+    def no_gram(self):
+        raise AssertionError("gram built")
+
+    monkeypatch.setattr(lvt.SettingsEnsemble, "gram", property(no_gram))
+    code, _, _ = run_cli(capsys, ["oracle", "--random", "3000"])
+    assert code == EXIT_RESOURCE
+
+
 def test_bell_threshold_and_closure(capsys):
     code, out, _ = run_cli(capsys, ["bell"])
     assert code == EXIT_OK

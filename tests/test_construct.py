@@ -9,13 +9,12 @@ from lvt import (
     InvalidInputError,
     SettingsEnsemble,
     ValidationReport,
-    floor_normalized_weights,
     gram_svd,
     state_to_model,
     validate_model,
 )
 
-from lvt.construct import _CHECK_BLOCK_ENTRIES
+from lvt.construct import _CHECK_BLOCK_ENTRIES, _floor_normalized
 
 from directions import random_direction
 from models import span_model, span_state
@@ -102,7 +101,7 @@ def test_frame_rejects_too_few_states():
 
 def test_floor_weights_simplex_and_floor():
     raw = np.array([-1.0, 0.0, 2.0, 1.0])
-    rho = floor_normalized_weights(raw, 0.01)
+    rho = _floor_normalized(raw, 0.01)
     assert abs(rho.sum() - 1.0) < 1e-14
     assert np.all(rho >= 0.01 - 1e-15)
     assert rho[2] > rho[3] > rho[1]
@@ -236,7 +235,7 @@ def test_block_product_matches_three_operand_sum():
     # of the reported violation may move.
     rng = np.random.default_rng(71)
     n, m = 600, 34
-    rho = floor_normalized_weights(rng.uniform(0.0, 1.0, m), 1e-6)
+    rho = _floor_normalized(rng.uniform(0.0, 1.0, m), 1e-6)
     a_table = rng.uniform(-1.0, 1.0, (n, m))
     b_table = rng.uniform(-1.0, 1.0, (n, m))
     rows = max(1, _CHECK_BLOCK_ENTRIES // n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from lvt import (
     VisibilityEstimate,
     extrapolate,
     fit_power_law,
-    floor_normalized_weights,
     inner_maximize,
     max_visibility_lp,
     n_sweep,
@@ -24,7 +24,7 @@ from lvt import (
     state_to_model,
     validate_model,
 )
-from lvt.construct import project_out
+from lvt.construct import _floor_normalized, project_out
 from lvt.core import seeded_rng
 
 from directions import random_direction
@@ -101,7 +101,7 @@ def inverse_tables(x, w_ab, m):
     """The kernel's tables, solving each 3x3 system with np.linalg.inv."""
     out = []
     for state in x:
-        srho = np.sqrt(floor_normalized_weights(state[6 * m :], DEFAULT_RHO_MIN))
+        srho = np.sqrt(_floor_normalized(state[6 * m :], DEFAULT_RHO_MIN))
         q = project_out(state[: 3 * m].reshape(3, m), srho)
         t = project_out(state[3 * m : 6 * m].reshape(3, m), srho)
         t = np.linalg.inv(t @ q.T) @ t
@@ -159,9 +159,9 @@ def test_climb_never_calls_a_matrix_inverse(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
     settings = SettingsEnsemble.random(3, np.random.default_rng([151, 3]))
     cfg = SearchConfig(n_settings=3, m_states=5, inner_iters=500, restarts=6, seed=1)
-    best_v, _, evals = search_module._climb(settings, cfg)
+    value, _, evals = search_module._climb(settings, cfg)
     assert evals >= 6 * 500
-    assert min(best_v) > 0.0
+    assert value > 0.0
 
 
 def test_inner_maximize_deterministic():
@@ -215,9 +215,9 @@ def test_m4_model_keeps_zero_marginals():
     settings = SettingsEnsemble.random(4, np.random.default_rng([98, 4]))
     cfg = SearchConfig(n_settings=4, m_states=4, inner_iters=4000, restarts=1, seed=98)
     _, best_x, _ = search_module._climb(settings, cfg)
-    x = best_x[0].copy()
+    x = best_x.copy()
     m = cfg.m_states
-    rho = floor_normalized_weights(x[6 * m :], DEFAULT_RHO_MIN)
+    rho = _floor_normalized(x[6 * m :], DEFAULT_RHO_MIN)
     srho = np.sqrt(rho)
     x[3 * m : 6 * m] += np.tile(1e9 * srho, 3)
     w_ab = search_module._scaled_factors(settings)
@@ -322,6 +322,11 @@ def stepwise_climb(settings, config, retire=True):
     return best_v, best_x, evals
 
 
+def winner(values):
+    """Index of the highest value, ties to the lowest index, as _climb picks."""
+    return min(range(len(values)), key=lambda r: (-values[r], r))
+
+
 @pytest.mark.parametrize(
     "n, m, restarts",
     [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3), (4, 4, 6), (2, 10, 3), (2, 5, 6)],
@@ -333,7 +338,9 @@ def test_block_climb_matches_stepwise_reference(monkeypatch, n, m, restarts):
     # V = 1, so restart 2 retires while restart 0 climbs on.  (2, 5, 6)
     # is a full climb at the default patience and budget: restart 0
     # reaches V = 1 at step 525, after restarts 1, 3 and 5 have climbed
-    # past it, so they are cut back to that step.
+    # past it, so their steps past it do not count.  _climb returns the
+    # reference's winner: its best value and state, and every step the
+    # reference counts.
     full = (n, m, restarts) == (2, 5, 6)
     if full:
         settings = SettingsEnsemble.random(n, np.random.default_rng([1, n]))
@@ -344,23 +351,20 @@ def test_block_climb_matches_stepwise_reference(monkeypatch, n, m, restarts):
         cfg = SearchConfig(
             n_settings=n, m_states=m, inner_iters=300, restarts=restarts, seed=5
         )
-    best_v, best_x, evals = search_module._climb(settings, cfg)
+    value, state, evals = search_module._climb(settings, cfg)
     ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
-    assert np.array_equal(best_v, ref_v)
-    assert np.array_equal(best_x, ref_x)
+    w = winner(ref_v)
+    assert value == ref_v[w]
+    assert np.array_equal(state, ref_x[w])
     assert evals == ref_evals
     if full:
-        assert best_v[0] == 1.0
+        assert (w, value) == (0, 1.0)
 
 
 def test_retiring_at_full_visibility_keeps_the_winner():
     # Restarts 1 and 2 reach V = 1 here; restart 0 does not.
     settings = SettingsEnsemble.random(2, np.random.default_rng([109, 2, 0]))
     cfg = SearchConfig(n_settings=2, inner_iters=600, restarts=3, seed=0)
-
-    def winner(values):
-        return min(range(cfg.restarts), key=lambda r: (-values[r], r))
-
     full_v, full_x, full_evals = stepwise_climb(settings, cfg, retire=False)
     ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
     w = winner(full_v)
@@ -370,17 +374,34 @@ def test_retiring_at_full_visibility_keeps_the_winner():
     assert np.array_equal(ref_x[w], full_x[w])
     assert ref_evals < full_evals
     assert (full_evals, ref_evals) == (1803, 1180)
-    best_v, best_x, evals = search_module._climb(settings, cfg)
-    assert np.array_equal(best_v, ref_v)
-    assert np.array_equal(best_x, ref_x)
+    value, state, evals = search_module._climb(settings, cfg)
+    assert value == ref_v[w]
+    assert np.array_equal(state, ref_x[w])
     assert evals == ref_evals
+
+
+def test_climb_memory_does_not_grow_with_the_budget():
+    # Moves are drawn _DRAWS at a time into a ring of two batches, so a
+    # budget of 10^7 steps holds no more drawn moves than one of 10^3.
+    # Both restarts reach V = 1 here, and the climb stops after 575
+    # counted steps, starting draws included.
+    settings = SettingsEnsemble.random(2, np.random.default_rng([0, 2]))
+    cfg = SearchConfig(n_settings=2, m_states=4, inner_iters=10**7, restarts=2, seed=0)
+    tracemalloc.start()
+    try:
+        value, _, evals = search_module._climb(settings, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (value, evals) == (1.0, 575)
+    assert peak < 2**20
 
 
 def _cross_condition(x, m, rho_min):
     """Condition number of each state's 3x3 biorthogonalizing system."""
     out = []
     for state in x:
-        srho = np.sqrt(floor_normalized_weights(state[6 * m :], rho_min))
+        srho = np.sqrt(_floor_normalized(state[6 * m :], rho_min))
         q = project_out(state[: 3 * m].reshape(3, m), srho)
         t = project_out(state[3 * m : 6 * m].reshape(3, m), srho)
         out.append(np.linalg.cond(t @ q.T))
