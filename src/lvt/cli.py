@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .analytic import (
     validity_scan,
 )
 from .construct import SettingsEnsemble, validate_model
-from .core import seeded_rng
+from .core import require_visibility, seeded_rng
 from .errors import (
     InvalidInputError,
     LvtError,
@@ -94,19 +94,22 @@ class RunRecord:
 
 def write_csv(path: str, estimates) -> None:
     """One row per estimate; floats as repr so values round-trip."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for e in estimates:
-            writer.writerow([
-                e.n_settings,
-                repr(e.value),
-                repr(e.std_error),
-                e.provenance,
-                e.seed,
-                e.iterations_used,
-                repr(0.0),
-            ])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for e in estimates:
+                writer.writerow([
+                    e.n_settings,
+                    repr(e.value),
+                    repr(e.std_error),
+                    e.provenance,
+                    e.seed,
+                    e.iterations_used,
+                    repr(0.0),
+                ])
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_settings(path: str) -> SettingsEnsemble:
@@ -159,8 +162,8 @@ def parse_scan(text: str) -> list:
         raise InvalidInputError(f"--scan needs finite start:stop:step, got {text!r}")
     if step <= 0.0 or stop < start:
         raise InvalidInputError("--scan needs step > 0 and stop >= start")
-    if start < 0.0 or stop > 1.0:
-        raise InvalidInputError("--scan range must stay inside [0, 1]")
+    for v in (start, stop):
+        require_visibility(v)
     span = (stop - start) / step + 1e-9
     if span >= MAX_SCAN_POINTS:
         raise ResourceLimitError(
@@ -177,8 +180,6 @@ def _settings(args, seed: int, count, flag: str) -> SettingsEnsemble:
         raise InvalidInputError(f"{args.command} needs exactly one of --settings or {flag}")
     if args.settings is not None:
         return load_settings(args.settings)
-    if count < 1:
-        raise InvalidInputError(f"{flag} must be >= 1, got {count}")
     return SettingsEnsemble.random(count, seeded_rng(seed, _TAG_CLI_SETTINGS))
 
 
@@ -340,14 +341,7 @@ def _cmd_construct(args, seed: int):
         provenance="mc-search", seed=seed, iterations_used=0,
     )
     details = {
-        "validation": {
-            "correlation_violation": report.correlation_violation,
-            "bound_violation": report.bound_violation,
-            "marginal_violation": report.marginal_violation,
-            "probability_violation": report.probability_violation,
-            "tol": report.tol,
-            "passed": report.passed,
-        },
+        "validation": {**asdict(report), "passed": report.passed},
         "rho": model.rho.tolist(),
     }
     lines = [
@@ -427,6 +421,14 @@ def main(argv=None) -> int:
         if seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {seed}")
         record, lines, code = args.run(args, seed)
+        elapsed = time.perf_counter() - started
+        if args.json:
+            print(record.to_json())
+        else:
+            for line in lines:
+                print(line)
+        if args.out:
+            write_csv(args.out, record.estimates)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -436,14 +438,6 @@ def main(argv=None) -> int:
     except LvtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    elapsed = time.perf_counter() - started
-    if args.json:
-        print(record.to_json())
-    else:
-        for line in lines:
-            print(line)
-    if args.out:
-        write_csv(args.out, record.estimates)
     print(f"elapsed: {elapsed:.3f} s", file=sys.stderr)
     return code
 

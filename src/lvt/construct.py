@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import NORM_SLACK, Direction
+from .core import NORM_SLACK, Direction, require_int, require_visibility
 from .errors import InvalidInputError
 
 # Weight floor applied before the 1/sqrt(rho) division; prevents
@@ -113,8 +113,7 @@ class SettingsEnsemble:
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "SettingsEnsemble":
         """Uniform directions, each side drawn in one call, the a side first."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidInputError(f"setting count must be an integer >= 1, got {n!r}")
+        n = require_int(n, "setting count", 1)
         return cls(
             unit_rows(rng.standard_normal((n, 3))), unit_rows(rng.standard_normal((n, 3)))
         )
@@ -261,9 +260,7 @@ class DiscreteLhvModel:
             raise InvalidInputError("tables must be N x M with M matching the weights")
         if np.any(rho <= 0.0) or abs(float(np.sum(rho)) - 1.0) > _SIMPLEX_TOL:
             raise InvalidInputError("rho must be strictly positive and sum to 1")
-        vis = float(self.visibility)
-        if not math.isfinite(vis) or vis < 0.0 or vis > 1.0:
-            raise InvalidInputError(f"visibility must lie in [0, 1], got {vis!r}")
+        vis = require_visibility(self.visibility)
         object.__setattr__(self, "rho", _readonly(rho))
         object.__setattr__(self, "a_table", _readonly(a))
         object.__setattr__(self, "b_table", _readonly(b))

@@ -37,6 +37,13 @@ def require_outcome(m: int) -> int:
     return int(m)
 
 
+def require_int(value, name: str, minimum: int) -> int:
+    """Validate that ``value`` is an integer (NumPy's too, never a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def require_visibility(v: float) -> float:
     """Validate that ``v`` is a visibility in [0, 1]."""
     v = float(v)
@@ -124,8 +131,7 @@ def legendre(j: int, x):
     ``x`` may be a scalar or an array with entries in [-1, 1]; values up
     to 1e-12 outside are clamped, anything further is rejected.
     """
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
-        raise InvalidInputError(f"polynomial degree must be a non-negative integer, got {j!r}")
+    j = require_int(j, "polynomial degree", 0)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > 1.0 + 1e-12):
         raise InvalidInputError("legendre argument must lie in [-1, 1] (tolerance 1e-12)")
@@ -168,7 +174,5 @@ def _sphere_nodes(degree: int) -> tuple[tuple[Direction, ...], tuple[float, ...]
 
 def sphere_quadrature(f: Callable[[Direction], float], degree: int) -> float:
     """Average of ``f`` over the unit sphere (integral against dOmega/4pi)."""
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 1:
-        raise InvalidInputError(f"quadrature degree must be an integer >= 1, got {degree!r}")
-    dirs, weights = _sphere_nodes(int(degree))
+    dirs, weights = _sphere_nodes(require_int(degree, "quadrature degree", 1))
     return float(sum(w * f(d) for d, w in zip(dirs, weights)))

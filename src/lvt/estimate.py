@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .core import require_int, require_visibility
 from .errors import InvalidInputError
 
 PROVENANCES = ("analytic", "mc-search", "oracle", "bell", "chsh")
@@ -27,10 +28,7 @@ class VisibilityEstimate:
     iterations_used: int
 
     def __post_init__(self) -> None:
-        value = float(self.value)
-        if not math.isfinite(value) or value < 0.0 or value > 1.0:
-            raise InvalidInputError(f"estimate value must lie in [0, 1], got {value!r}")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", require_visibility(self.value))
         err = float(self.std_error)
         if not math.isfinite(err) or err < 0.0:
             raise InvalidInputError(f"std_error must be >= 0, got {err!r}")
@@ -40,11 +38,7 @@ class VisibilityEstimate:
                 f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
             )
         for name in ("n_settings", "seed", "iterations_used"):
-            raw = getattr(self, name)
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise InvalidInputError(f"{name} must be an int, got {raw!r}")
-        if self.n_settings < 0 or self.iterations_used < 0:
-            raise InvalidInputError("n_settings and iterations_used must be >= 0")
+            object.__setattr__(self, name, require_int(getattr(self, name), name, 0))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -82,7 +82,7 @@ from .construct import (
     project_out,
     unit_rows,
 )
-from .core import seeded_rng
+from .core import require_int, seeded_rng
 from .errors import ConstructionFailureError, InvalidInputError, LvtError
 from .estimate import VisibilityEstimate
 from .seesaw import lp_rows_bound, seesaw
@@ -168,21 +168,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_settings", "m_states", "inner_iters", "outer_iters",
-                     "restarts", "seed"):
-            raw = getattr(self, name)
-            if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {raw!r}")
-            object.__setattr__(self, name, int(raw))
-        if self.n_settings < 1:
-            raise InvalidInputError(f"n_settings must be >= 1, got {self.n_settings}")
-        if self.m_states < 4:
-            raise InvalidInputError(f"m_states must be >= 4, got {self.m_states}")
-        for name in ("inner_iters", "outer_iters", "restarts"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("n_settings", 1), ("m_states", 4), ("inner_iters", 1),
+                              ("outer_iters", 1), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
 
 
 def _derive_seed(*entropy: int) -> int:
@@ -596,11 +584,7 @@ def n_sweep(
     Failures at one N are logged and skipped; the sweep continues.  The
     returned estimates identify their N, so callers can detect gaps.
     """
-    cleaned = []
-    for n in n_values:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidInputError(f"settings counts must be integers >= 1, got {n!r}")
-        cleaned.append(int(n))
+    cleaned = [require_int(n, "settings count", 1) for n in n_values]
     if any(b < a for a, b in zip(cleaned, cleaned[1:])):
         raise InvalidInputError(f"settings counts must be sorted ascending, got {cleaned}")
     results = []

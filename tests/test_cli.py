@@ -423,3 +423,13 @@ def test_bad_flag_exits_with_usage_code(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, ["no-such-command"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("target", ["missing/f.csv", "."])
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path, target):
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, ["analytic", "--out", str(out_path)])
+    assert code == EXIT_USAGE
+    assert f"error: cannot write {out_path}" in err
+    assert "threshold visibility" in out
+    assert "Traceback" not in err

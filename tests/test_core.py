@@ -12,6 +12,9 @@ from lvt import (
     quantum_marginal,
     sphere_quadrature,
 )
+from lvt.construct import DiscreteLhvModel
+from lvt.estimate import VisibilityEstimate
+from lvt.search import SearchConfig, n_sweep
 
 from directions import random_direction
 
@@ -110,3 +113,70 @@ def test_quadrature_product_identity():
 
     value = sphere_quadrature(product, 8)
     assert abs(value - legendre(2, float(u @ v)) / 5.0) < 1e-13
+
+
+def _estimate(**fields):
+    base = dict(value=0.5, std_error=0.0, n_settings=3, provenance="oracle", seed=0,
+                iterations_used=0)
+    return VisibilityEstimate(**{**base, **fields})
+
+
+def _config_field(name):
+    return lambda v: getattr(SearchConfig(**{"n_settings": 2, name: v}), name)
+
+
+def _estimate_field(name):
+    return lambda v: getattr(_estimate(**{name: v}), name)
+
+
+_TINY_SEARCH = SearchConfig(n_settings=1, inner_iters=10, outer_iters=1, restarts=1)
+
+# Each entry point that takes a count, degree or seed: a call returning
+# what it kept of the integer (or computed from it), and the minimum.
+INT_ARGUMENTS = {
+    **{f"SearchConfig.{name}": (_config_field(name), minimum) for name, minimum in (
+        ("n_settings", 1), ("m_states", 4), ("inner_iters", 1), ("outer_iters", 1),
+        ("restarts", 1), ("seed", 0),
+    )},
+    "n_sweep": (lambda v: n_sweep([v], _TINY_SEARCH)[0].n_settings, 1),
+    "SettingsEnsemble.random": (
+        lambda v: SettingsEnsemble.random(v, np.random.default_rng(0)).n_settings, 1
+    ),
+    "legendre": (lambda v: legendre(v, 0.5), 0),
+    "sphere_quadrature": (lambda v: sphere_quadrature(lambda d: d.z ** 2, v), 1),
+    **{f"VisibilityEstimate.{name}": (_estimate_field(name), 0)
+       for name in ("n_settings", "seed", "iterations_used")},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_ARGUMENTS))
+def test_integer_arguments_share_one_check(entry):
+    call, minimum = INT_ARGUMENTS[entry]
+    for bad in (True, 3.0, minimum - 1):
+        with pytest.raises(InvalidInputError, match="must be an integer >="):
+            call(bad)
+    expected = call(minimum + 1)
+    kept = call(np.int64(minimum + 1))
+    assert kept == expected and type(kept) is type(expected)
+
+
+def _model(**fields):
+    base = dict(rho=[0.5, 0.5], a_table=[[1.0, -1.0]], b_table=[[-1.0, 1.0]], visibility=1.0)
+    return DiscreteLhvModel(**{**base, **fields})
+
+
+@pytest.mark.parametrize("build, fields", [
+    (_estimate, {"value": -0.1}),
+    (_estimate, {"value": 1.5}),
+    (_estimate, {"value": math.nan}),
+    (_estimate, {"std_error": -1.0}),
+    (_estimate, {"provenance": "guess"}),
+    (_model, {"visibility": 1.5}),
+    (_model, {"visibility": math.nan}),
+    (_model, {"rho": [1.0, 0.0]}),
+    (_model, {"a_table": [[1.0, -1.0, 0.0]]}),
+])
+def test_results_reject_invalid_fields(build, fields):
+    build()
+    with pytest.raises(InvalidInputError):
+        build(**fields)
