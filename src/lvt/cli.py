@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -90,6 +91,23 @@ class RunRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+def check_out_path(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work runs.
+
+    A file that still cannot be opened later fails in write_csv instead.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        problem = f"directory {parent} is not writable"
+    else:
+        return
+    raise InvalidInputError(f"cannot write {path}: {problem}")
 
 
 def write_csv(path: str, estimates) -> None:
@@ -420,6 +438,8 @@ def main(argv=None) -> int:
         seed = args.seed
         if seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {seed}")
+        if args.out:
+            check_out_path(args.out)
         record, lines, code = args.run(args, seed)
         elapsed = time.perf_counter() - started
         if args.json:

@@ -24,7 +24,9 @@ sign(Y^T a), with reduced gain ||Y^T a||_1 + mu.  Each strategy with a
 positive gain joins the master, which is solved again; once none is
 left the master's optimum is the optimum over all 2^(2N-1) strategies.
 Pricing scans only the 2^(N-1) gauge-fixed a, so no array ever holds
-every strategy column.  Each master runs through lvt.lp, presolve off.
+every strategy column.  The master is one lvt.lp.Master for the whole
+solve: each round appends its priced columns, and primal simplex
+restarts from the last optimal basis.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ import numpy as np
 from .construct import SettingsEnsemble
 from .errors import InvalidInputError, LvtError, ResourceLimitError
 from .estimate import VisibilityEstimate
-from .lp import csc, maximize_last
+from .lp import Master, csc
 
-# Hard cap on settings per side; at N = 12 a solve took 12-24 s and
-# peaked at 270-350 MB on a 2-core machine.
+# Hard cap on settings per side; at N = 12 a solve took 12-32 s and
+# peaked at 370-540 MB on a 2-core machine.
 MAX_ORACLE_SETTINGS = 12
 
 # A strategy joins the master when its reduced gain exceeds this.
@@ -51,29 +53,10 @@ def _signs(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _solve_master(g: np.ndarray, a_cols: np.ndarray, b_cols: np.ndarray):
-    """Restricted master over the strategies a_cols[s] b_cols[s]^T.
-
-    Returns (V, Y, mu, simplex iterations), with Y the (N, N) duals of
-    the correlation rows and mu the dual of the normalisation row.
-    """
-    n = g.shape[0]
-    count = a_cols.shape[0]
-    a_eq = np.zeros((n * n + 1, count + 1))
-    a_eq[: n * n, :count] = (a_cols[:, :, None] * b_cols[:, None, :]).reshape(count, -1).T
-    a_eq[: n * n, count] = -g.ravel()
-    a_eq[n * n, :count] = 1.0
-    b_eq = np.zeros(n * n + 1)
-    b_eq[-1] = 1.0
-    upper = np.full(count + 1, np.inf)
-    upper[-1] = 1.0
-    # Presolve costs more than it saves on these dense masters (0.28 s
-    # against 0.17 s at N = 8, 3.2 s against 2.3 s at N = 10).
-    x, duals, nit = maximize_last(
-        csc(a_eq), b_eq, np.zeros(count + 1), upper,
-        presolve=False, failure="oracle master LP failed",
-    )
-    return float(x[-1]), duals[: n * n].reshape(n, n), float(duals[-1]), nit
+def _strategy_columns(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Master columns of the strategies a[s] b[s]^T: correlation rows, then normalisation."""
+    products = (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], n * n)
+    return np.hstack([products, np.ones((a.shape[0], 1))]).T
 
 
 def _check_settings_count(n: int) -> None:
@@ -104,18 +87,25 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
     bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
     a_rows = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
     b_start = _signs(a_rows @ g)
-    a_cols = np.vstack([a_rows, a_rows])
-    b_cols = np.vstack([b_start, -b_start])
+    first = _strategy_columns(n, np.vstack([a_rows, a_rows]), np.vstack([b_start, -b_start]))
+    v_column = np.append(-g.ravel(), 0.0)
+    b_eq = np.zeros(n * n + 1)
+    b_eq[-1] = 1.0
+    upper = np.full(first.shape[1] + 1, np.inf)
+    upper[-1] = 1.0
+    master = Master(
+        csc(np.column_stack([first, v_column])), b_eq, np.zeros(first.shape[1] + 1), upper,
+        failure="oracle master LP failed",
+    )
     iterations = 0
     for _ in range(_MAX_ROUNDS):
-        value, y, mu, nit = _solve_master(g, a_cols, b_cols)
+        value, duals, nit = master.solve()
         iterations += nit
-        scores = a_rows @ y
-        priced = np.abs(scores).sum(axis=1) + mu > _PRICE_TOL
+        scores = a_rows @ duals[: n * n].reshape(n, n)
+        priced = np.abs(scores).sum(axis=1) + duals[-1] > _PRICE_TOL
         if not priced.any():
             return min(1.0, max(0.0, value)), iterations
-        a_cols = np.vstack([a_cols, a_rows[priced]])
-        b_cols = np.vstack([b_cols, _signs(scores[priced])])
+        master.add(csc(_strategy_columns(n, a_rows[priced], _signs(scores[priced]))))
     raise LvtError(f"oracle column generation did not converge in {_MAX_ROUNDS} rounds")
 
 

@@ -20,6 +20,7 @@ from lvt.cli import (
     main,
     parse_n_list,
     parse_scan,
+    write_csv,
 )
 from lvt.errors import InvalidInputError
 from lvt.search import sweep_work
@@ -426,10 +427,22 @@ def test_bad_flag_exits_with_usage_code(capsys):
 
 
 @pytest.mark.parametrize("target", ["missing/f.csv", "."])
-def test_unwritable_out_path_is_usage_error(capsys, tmp_path, target):
+def test_unwritable_out_path_is_usage_error(capsys, monkeypatch, tmp_path, target):
+    # Refused before the run: nothing is printed and no search starts.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a search ran with an unwritable --out path")
+
+    monkeypatch.setattr("lvt.cli.n_sweep", no_sweep)
     out_path = tmp_path / target
-    code, out, err = run_cli(capsys, ["analytic", "--out", str(out_path)])
-    assert code == EXIT_USAGE
-    assert f"error: cannot write {out_path}" in err
-    assert "threshold visibility" in out
-    assert "Traceback" not in err
+    for command in (["analytic"], ["search", "--n", "3"]):
+        code, out, err = run_cli(capsys, command + ["--out", str(out_path)])
+        assert code == EXIT_USAGE
+        assert f"error: cannot write {out_path}" in err
+        assert out == ""
+        assert "Traceback" not in err
+
+
+def test_write_time_failure_is_usage_error(tmp_path):
+    # The backstop for a path that passes the early check but cannot be opened.
+    with pytest.raises(InvalidInputError, match=f"cannot write {tmp_path}"):
+        write_csv(str(tmp_path), [])

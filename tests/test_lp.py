@@ -41,11 +41,7 @@ def assert_matches_linprog(args, kwargs):
     a_eq = sparse.csc_matrix((data, indices, indptr), shape=(b_eq.shape[0], lower.shape[0]))
     cost = np.zeros(lower.shape[0])
     cost[-1] = -1.0
-    options = {
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-        "presolve": kwargs.get("presolve", True),
-    }
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     expected = linprog(
         cost, A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]),
         method="highs", options=options,
@@ -79,17 +75,56 @@ def test_pooled_weight_lp_matches_linprog(monkeypatch):
         assert_matches_linprog(args, kwargs)
 
 
-# At N = 7 some masters' results move if either side's feasibility
-# tolerance changes (1e-9 against 1e-10), so a mismatch in it shows.
-@pytest.mark.parametrize("n", [6, 7])
-def test_oracle_master_matches_linprog(monkeypatch, n):
-    settings = SettingsEnsemble.random(n, np.random.default_rng(1))
-    calls = recorded_lps(
-        monkeypatch, oracle_module, lambda: max_visibility_for_gram(settings.gram)
+def built_master(monkeypatch, gram):
+    """max_visibility_for_gram(gram)'s value and the lp.Master it solved."""
+    made = []
+    real = oracle_module.Master
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(oracle_module, "Master", recording)
+    value, _ = max_visibility_for_gram(gram)
+    monkeypatch.setattr(oracle_module, "Master", real)
+    assert len(made) == 1
+    return value, made[0]
+
+
+def every_strategy(n):
+    """Every gauge-fixed a (a[0] = +1) and every b, as rows of signs."""
+    signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    return signs[signs[:, 0] > 0], signs
+
+
+# The warm-started master must reach the optimum over all 2^(2N-1)
+# strategies, and its final duals must prove it: no strategy prices in.
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_oracle_master_certificate(monkeypatch, n):
+    gram = SettingsEnsemble.random(n, np.random.default_rng(n)).gram
+    value, master = built_master(monkeypatch, gram)
+    a_all, b_all = every_strategy(n)
+    products = np.einsum("sj,tk->stjk", a_all, b_all).reshape(-1, n * n)
+    count = products.shape[0]
+    a_eq = np.vstack([np.column_stack([products.T, -gram.ravel()]),
+                      np.append(np.ones(count), 0.0)])
+    cost = np.zeros(count + 1)
+    cost[-1] = -1.0
+    upper = np.append(np.full(count, np.inf), 1.0)
+    expected = linprog(
+        cost, A_eq=a_eq, b_eq=np.append(np.zeros(n * n), 1.0),
+        bounds=np.column_stack([np.zeros(count + 1), upper]), method="highs",
     )
-    assert all(kwargs["presolve"] is False for _, kwargs in calls)
-    for args, kwargs in calls:
-        assert_matches_linprog(args, kwargs)
+    assert expected.status == 0
+    assert abs(value - expected.x[-1]) <= 1e-9
+
+    # Refactorizing the same basis may move the last bits.
+    again, duals, nit = master.solve()
+    assert nit == 0
+    assert abs(again - value) <= 1e-12
+    y, mu = duals[: n * n].reshape(n, n), duals[-1]
+    gains = np.einsum("sj,jk,tk->st", a_all, y, b_all) + mu
+    assert gains.max() <= oracle_module._PRICE_TOL
 
 
 def test_csc_matches_scipy_sparse():
@@ -106,11 +141,9 @@ def test_csc_matches_scipy_sparse():
 def test_infeasible_lp_returns_none():
     # x0 = 1 and x0 = 2 at once.
     columns = (np.array([0, 2, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
-    for presolve in (True, False):
-        solved = lp_module.maximize_last(
-            columns, np.array([1.0, 2.0]), np.zeros(2), np.full(2, 5.0), presolve=presolve
-        )
-        assert solved is None
+    assert lp_module.maximize_last(
+        columns, np.array([1.0, 2.0]), np.zeros(2), np.full(2, 5.0)
+    ) is None
 
 
 def test_shared_solver_repeats_a_solve_after_an_infeasible_lp(monkeypatch):
@@ -133,7 +166,10 @@ def test_shared_solver_repeats_a_solve_after_an_infeasible_lp(monkeypatch):
 
 
 def test_failed_oracle_master_raises(monkeypatch):
-    monkeypatch.setattr(lp_module._OPTIONS[False], "simplex_iteration_limit", 0)
+    # The first solve runs on _MASTER_COLD, every re-solve on _MASTER_WARM.
     gram = SettingsEnsemble.random(4, np.random.default_rng(3)).gram
-    with pytest.raises(LvtError, match="oracle master LP failed: HiGHS model status"):
-        max_visibility_for_gram(gram)
+    for options in (lp_module._MASTER_COLD, lp_module._MASTER_WARM):
+        with monkeypatch.context() as patch:
+            patch.setattr(options, "simplex_iteration_limit", 0)
+            with pytest.raises(LvtError, match="oracle master LP failed: HiGHS model status"):
+                max_visibility_for_gram(gram)
