@@ -12,7 +12,11 @@ the frame parameters (q, t, rho) of the SVD construction comes first;
 its tables have columns in the rank-3 span of the Gram matrix.  An
 alternating-LP finish (lvt.seesaw) then polishes the climb's model
 over general tables and weights, which lifts the rank-3 ceiling for
-N > 3 and closes the climb's slow last stretch at any N.
+N > 3 and closes the climb's slow last stretch at any N.  At M = 4 with
+a rank-3 Gram (N >= 3 in general position) the finish is a fixed point,
+so it is skipped: each table step is square, with the climb's table its
+one solution, the weight LP over the 4 states has 16 equality rows for
+4 weights, and a pooled weight step is kept only if it fits in 4 states.
 
 Once M >= (N+1)^2 the climb is capped at one step per restart, and the
 finish alone carries the search.  A basic optimum of the finish's
@@ -85,7 +89,7 @@ from .construct import (
 from .core import require_int, seeded_rng
 from .errors import ConstructionFailureError, InvalidInputError, LvtError
 from .estimate import VisibilityEstimate
-from .seesaw import lp_rows_bound, seesaw
+from .seesaw import certify, gram_rank, lp_rows_bound, seesaw, square_table_steps
 
 logger = logging.getLogger(__name__)
 
@@ -119,12 +123,13 @@ _SHARPNESS_DOUBLINGS = 4
 # acceptance is expected: about one move in ten is accepted at M = 4-5,
 # but one in four or more at M = 34, so blocks shrink as M grows (at
 # most _BLOCK_STATE_MOVES moves * M).  Past _BLOCK_ENTRIES table entries
-# (moves * N * M) per restart, the per-entry term outweighs the overhead
-# a longer block saves.  Measured on a 2-core machine, this picks the
-# fastest power of two to within noise from N = 2 to 1000 and M = 4 to 34.
+# scored per restart (moves * N * M * _scored_share), the per-entry term
+# outweighs the overhead a longer block saves.  Measured on a 2-core
+# machine, this picks the fastest power of two to within noise at M = 4
+# from N = 2 to 2000, at M = 5 to 1000 and at M = 34 to 400.
 _BLOCK_MOVES = 16
 _BLOCK_STATE_MOVES = 160
-_BLOCK_ENTRIES = 16384
+_BLOCK_ENTRIES = 20000
 
 # Each restart draws its moves this many at a time: one bulk call per
 # stream costs about as much as two single draws.
@@ -303,10 +308,16 @@ def state_to_model(x: np.ndarray, settings: SettingsEnsemble) -> DiscreteLhvMode
     )
 
 
+def _scored_share(m: int) -> float:
+    """Share of moves the climb scores: 4 in 7 at M = 4, whose t-half moves are inert."""
+    return 4.0 / 7.0 if m == 4 else 1.0
+
+
 def _block_moves(n: int, m: int) -> int:
     """Moves a restart scores per block: a power of two, at most _BLOCK_MOVES."""
+    entries = n * m * _scored_share(m)
     moves = _BLOCK_MOVES
-    while moves > 1 and (moves * m > _BLOCK_STATE_MOVES or moves * n * m > _BLOCK_ENTRIES):
+    while moves > 1 and (moves * m > _BLOCK_STATE_MOVES or moves * entries > _BLOCK_ENTRIES):
         moves //= 2
     return moves
 
@@ -487,10 +498,12 @@ def inner_maximize(
     Climbs config.restarts restarts of the SVD construction and takes
     the best (ties to the lowest restart index), then runs the
     alternating-LP finish over general tables and weights on that
-    model, seeded from config.seed on its own stream.  The returned
-    model passes validate_model at 1e-8, has positive weight on all
-    m_states states, and its visibility is the estimate's value, which
-    is never below the climb's.
+    model, seeded from config.seed on its own stream.  Where the finish
+    is a fixed point (module docstring), the climb's model is returned
+    if validate_model passes it at 1e-9, else ConstructionFailureError
+    is raised.  The returned model passes validate_model at 1e-8, has
+    positive weight on all m_states states, and its visibility is the
+    estimate's value, which is never below the climb's.
 
     Restarts draw from independent streams and are scored together.  A
     restart whose best reaches V = 1 stops, and so does every restart
@@ -511,7 +524,10 @@ def inner_maximize(
     climb_config = replace(config, inner_iters=_climb_iters(settings.n_settings, config))
     _, state, evals = _climb(settings, climb_config)
     model = state_to_model(state, settings)
-    model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
+    if square_table_steps(gram_rank(settings), config.m_states):
+        model = certify(model, settings)
+    else:
+        model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
     estimate = VisibilityEstimate(
         value=model.visibility,
         std_error=0.0,
@@ -610,18 +626,19 @@ def sweep_work(n_values: Sequence[int], config: SearchConfig) -> dict:
     M >= (N+1)^2, where inner_maximize caps the climb.  "climb table
     entries": those steps times the N * M table entries each one
     scores.  "finish LP rows": an upper bound on the equality rows of
-    every see-saw LP, at its round cap.
+    every see-saw LP, at its round cap, where the finish runs (not at
+    M = 4, N >= 3).
     """
     m = config.m_states
-    share = 4.0 / 7.0 if m == 4 else 1.0
     steps = [
-        config.outer_iters * config.restarts * (_climb_iters(n, config) + 1) * share
+        config.outer_iters * config.restarts * (_climb_iters(n, config) + 1) * _scored_share(m)
         for n in n_values
     ]
+    finished = [n for n in n_values if not square_table_steps(min(n, 3), m)]
     return {
         "climb steps": sum(steps),
         "climb table entries": sum(count * m * n for n, count in zip(n_values, steps)),
-        "finish LP rows": config.outer_iters * sum(lp_rows_bound(n, m) for n in n_values),
+        "finish LP rows": config.outer_iters * sum(lp_rows_bound(n, m) for n in finished),
     }
 
 

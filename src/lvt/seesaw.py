@@ -40,9 +40,11 @@ invertible: zero marginals make the fixed side's weighted columns sum
 to zero, so every row of its coordinates is orthogonal to the all-ones
 vector, while rho . 1 = 1.  So t_j = V R^-1 h_j is the only solution,
 the single binding constraint is |T| <= 1, and V = min(1, 1/max|R^-1 H|)
-is the LP's exact optimum, from one linear solve.  At M = 4 and N >= 3
-the fixed side has rank 3, so every table step takes this path; HiGHS
-solves the table steps of larger M and every rho step, through lvt.lp.
+is the LP's exact optimum, from one linear solve.  At M = 4 with a
+rank-3 Gram (N >= 3 in general position) every table step takes this
+path and returns its starting table, so lvt.search skips the finish
+there (square_table_steps).  HiGHS solves the table steps of larger M
+and every rho step, through lvt.lp.
 
 The finish never enumerates deterministic strategies and never calls
 the LP oracle, so comparing it with the oracle compares two
@@ -59,6 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .construct import DiscreteLhvModel, GramSvd, SettingsEnsemble, validate_model
+from .errors import ConstructionFailureError
 from .lp import csc, maximize_last
 
 # Relative cutoffs: singular values spanning a fixed block, and the part
@@ -101,6 +104,17 @@ def _span(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, s, wt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > _RANK_TOL * s[0])) if s.size and s[0] > 0.0 else 0
     return u[:, :rank], s[:rank, None] * wt[:rank]
+
+
+def gram_rank(settings: SettingsEnsemble) -> int:
+    """Numerical rank of the settings Gram: min(N, 3) in general position."""
+    p = settings.svd.p
+    return int(np.sum(p > _RANK_TOL * p[0]))
+
+
+def square_table_steps(rank: int, m: int) -> bool:
+    """True when every table step is square for a Gram of this rank: rank 3 and M = 4."""
+    return rank + 1 >= m
 
 
 def _outside(residual: np.ndarray, target: GramSvd) -> bool:
@@ -273,6 +287,13 @@ def certified_model(
     return model
 
 
+def certify(model: DiscreteLhvModel, settings: SettingsEnsemble) -> DiscreteLhvModel:
+    """The model itself if validate_model passes it at _CERTIFY_TOL, else raises."""
+    if not validate_model(model, settings, _CERTIFY_TOL).passed:
+        raise ConstructionFailureError(f"model fails validation at {_CERTIFY_TOL}")
+    return model
+
+
 def seesaw(
     model: DiscreteLhvModel, settings: SettingsEnsemble, rng: np.random.Generator
 ) -> DiscreteLhvModel:
@@ -333,7 +354,7 @@ def lp_rows_bound(n: int, m: int) -> int:
     each rank at most N and at most M - 1 plus the fresh columns
     offered.
     """
-    table = 0 if min(n, 3) + 1 >= m else n * min(n + 1, m - 1)
+    table = 0 if square_table_steps(min(n, 3), m) else n * min(n + 1, m - 1)
     pooled = (min(n, m - 1 + _POOL_FACTOR * m) + 1) ** 2
     current = (min(n, m - 1) + 1) ** 2
     return _MAX_ROUNDS * (2 * table + pooled + current)

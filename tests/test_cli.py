@@ -23,7 +23,7 @@ from lvt.cli import (
     write_csv,
 )
 from lvt.errors import InvalidInputError
-from lvt.search import sweep_work
+from lvt.search import SearchConfig, sweep_work
 
 TINY_SEARCH = ["--inner-iters", "200", "--outer-iters", "2", "--restarts", "1"]
 
@@ -172,6 +172,13 @@ def test_search_gate_verdicts(capsys, monkeypatch, argv, refused_by):
     assert len(sweeps) == 1
     for name, count in sweep_work(*sweeps[0]).items():
         assert count <= SEARCH_WORK_LIMITS[name]
+
+
+def test_m4_sweep_counts_no_finish_rows():
+    # At M = 4 and N >= 3 inner_maximize skips the see-saw finish.
+    assert sweep_work([100, 300, 1000], SearchConfig(n_settings=100))["finish LP rows"] == 0
+    assert sweep_work([2, 3], SearchConfig(n_settings=2))["finish LP rows"] > 0
+    assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish LP rows"] > 0
 
 
 def test_search_streams_progress_to_stderr(capsys):

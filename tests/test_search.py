@@ -24,7 +24,7 @@ from lvt import (
     state_to_model,
     validate_model,
 )
-from lvt.construct import _floor_normalized, project_out
+from lvt.construct import ValidationReport, _floor_normalized, project_out, unit_rows
 from lvt.core import seeded_rng
 
 from directions import random_direction
@@ -596,3 +596,64 @@ def test_search_path_never_reads_the_gram(monkeypatch):
     assert checked
     assert model.visibility == est.value
     assert validate_model(model, settings, 1e-8).passed
+
+
+def test_inner_maximize_skips_the_finish_where_it_is_a_fixed_point(monkeypatch):
+    # At M = 4 and N >= 3 (a rank-3 Gram) every finish step would return
+    # the climb's own model, so inner_maximize certifies it instead.
+    finished = []
+    real_seesaw = search_module.seesaw
+
+    def recording_seesaw(model, settings, rng):
+        finished.append(settings.n_settings)
+        return real_seesaw(model, settings, rng)
+
+    monkeypatch.setattr(search_module, "seesaw", recording_seesaw)
+    rng = np.random.default_rng(131)
+    for n, m, runs_finish in ((3, 4, False), (4, 4, False), (100, 4, False),
+                              (2, 4, True), (3, 5, True)):
+        settings = SettingsEnsemble.random(n, rng)
+        cfg = SearchConfig(n_settings=n, m_states=m, inner_iters=300, restarts=2, seed=n)
+        finished.clear()
+        model, est = inner_maximize(settings, cfg)
+        assert finished == ([n] if runs_finish else [])
+        assert model.visibility == est.value
+        assert validate_model(model, settings, 1e-8).passed
+
+
+def test_m4_finish_still_runs_on_a_rank_two_gram():
+    # Coplanar A directions give the Gram rank 2, so a table step is an
+    # LP again and the finish can gain: here it does.
+    rng = np.random.default_rng(137)
+    a = rng.standard_normal((4, 3))
+    a[:, 2] = 0.0
+    settings = SettingsEnsemble(unit_rows(a), unit_rows(rng.standard_normal((4, 3))))
+    assert seesaw_module.gram_rank(settings) == 2
+    cfg = SearchConfig(n_settings=4, inner_iters=300, restarts=2, seed=1)
+    _, state, _ = search_module._climb(settings, cfg)
+    climbed = state_to_model(state, settings)
+    model, est = inner_maximize(settings, cfg)
+    assert est.value > climbed.visibility + 1e-6
+    assert validate_model(model, settings, 1e-8).passed
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 100])
+def test_finish_is_a_fixed_point_at_m4(n):
+    # The reason inner_maximize skips the finish at M = 4, N >= 3.
+    settings = SettingsEnsemble.random(n, np.random.default_rng([139, n]))
+    cfg = SearchConfig(n_settings=n, inner_iters=400, restarts=2, seed=n)
+    _, state, _ = search_module._climb(settings, cfg)
+    climbed = state_to_model(state, settings)
+    polished = seesaw_module.seesaw(
+        climbed, settings, seeded_rng(cfg.seed, search_module._TAG_FINISH)
+    )
+    assert abs(polished.visibility - climbed.visibility) <= 1e-12
+
+
+def test_uncertified_climb_model_raises(monkeypatch):
+    failing = ValidationReport(1.0, 0.0, 0.0, 0.0, tol=1e-9)
+    monkeypatch.setattr(seesaw_module, "validate_model", lambda model, settings, tol: failing)
+    settings = SettingsEnsemble.random(3, np.random.default_rng(149))
+    cfg = SearchConfig(n_settings=3, inner_iters=100, restarts=1, seed=3)
+    with pytest.raises(ConstructionFailureError):
+        inner_maximize(settings, cfg)
