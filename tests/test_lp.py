@@ -41,7 +41,10 @@ def assert_matches_linprog(args, kwargs):
     a_eq = sparse.csc_matrix((data, indices, indptr), shape=(b_eq.shape[0], lower.shape[0]))
     cost = np.zeros(lower.shape[0])
     cost[-1] = -1.0
-    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    options = {
+        "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+        "presolve": False,
+    }
     expected = linprog(
         cost, A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]),
         method="highs", options=options,
@@ -97,6 +100,25 @@ def every_strategy(n):
     return signs[signs[:, 0] > 0], signs
 
 
+def full_column_lp(gram, a_all, b_all):
+    """linprog's max V with V gram a mixture of the strategies a b^T over the given rows."""
+    n = gram.shape[0]
+    products = np.einsum("sj,tk->stjk", a_all, b_all).reshape(-1, n * n)
+    count = products.shape[0]
+    a_eq = sparse.csc_matrix(np.vstack([np.column_stack([products.T, -gram.ravel()]),
+                                        np.append(np.ones(count), 0.0)]))
+    cost = np.zeros(count + 1)
+    cost[-1] = -1.0
+    upper = np.append(np.full(count, np.inf), 1.0)
+    expected = linprog(
+        cost, A_eq=a_eq, b_eq=np.append(np.zeros(n * n), 1.0),
+        bounds=np.column_stack([np.zeros(count + 1), upper]), method="highs",
+        options={"presolve": False},
+    )
+    assert expected.status == 0
+    return expected.x[-1]
+
+
 # The warm-started master must reach the optimum over all 2^(2N-1)
 # strategies, and its final duals must prove it: no strategy prices in.
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -104,19 +126,7 @@ def test_oracle_master_certificate(monkeypatch, n):
     gram = SettingsEnsemble.random(n, np.random.default_rng(n)).gram
     value, master = built_master(monkeypatch, gram)
     a_all, b_all = every_strategy(n)
-    products = np.einsum("sj,tk->stjk", a_all, b_all).reshape(-1, n * n)
-    count = products.shape[0]
-    a_eq = np.vstack([np.column_stack([products.T, -gram.ravel()]),
-                      np.append(np.ones(count), 0.0)])
-    cost = np.zeros(count + 1)
-    cost[-1] = -1.0
-    upper = np.append(np.full(count, np.inf), 1.0)
-    expected = linprog(
-        cost, A_eq=a_eq, b_eq=np.append(np.zeros(n * n), 1.0),
-        bounds=np.column_stack([np.zeros(count + 1), upper]), method="highs",
-    )
-    assert expected.status == 0
-    assert abs(value - expected.x[-1]) <= 1e-9
+    assert abs(value - full_column_lp(gram, a_all, b_all)) <= 1e-9
 
     # Refactorizing the same basis may move the last bits.
     again, duals, nit = master.solve()
@@ -125,6 +135,14 @@ def test_oracle_master_certificate(monkeypatch, n):
     y, mu = duals[: n * n].reshape(n, n), duals[-1]
     gains = np.einsum("sj,jk,tk->st", a_all, y, b_all) + mu
     assert gains.max() <= oracle_module._PRICE_TOL
+
+
+def test_oracle_master_recovers_from_a_failed_dual_run():
+    # The first, cold dual simplex run on this master ends in status
+    # Unknown after 166 iterations; the primal retry from scratch solves it.
+    gram = SettingsEnsemble.random(8, np.random.default_rng([95, 8, 0])).gram
+    value, _ = max_visibility_for_gram(gram)
+    assert abs(value - full_column_lp(gram, *every_strategy(8))) <= 1e-9
 
 
 def test_csc_matches_scipy_sparse():
@@ -166,10 +184,47 @@ def test_shared_solver_repeats_a_solve_after_an_infeasible_lp(monkeypatch):
 
 
 def test_failed_oracle_master_raises(monkeypatch):
-    # The first solve runs on _MASTER_COLD, every re-solve on _MASTER_WARM.
+    # The first solve runs on _COLD; re-solves, and the retry after a
+    # failed run, on _PRIMAL.  A failed _COLD run alone is recovered.
     gram = SettingsEnsemble.random(4, np.random.default_rng(3)).gram
-    for options in (lp_module._MASTER_COLD, lp_module._MASTER_WARM):
+    for limited in ((lp_module._COLD, lp_module._PRIMAL), (lp_module._PRIMAL,)):
         with monkeypatch.context() as patch:
-            patch.setattr(options, "simplex_iteration_limit", 0)
+            for options in limited:
+                patch.setattr(options, "simplex_iteration_limit", 0)
             with pytest.raises(LvtError, match="oracle master LP failed: HiGHS model status"):
                 max_visibility_for_gram(gram)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module._COLD, "simplex_iteration_limit", 0)
+        value, _ = max_visibility_for_gram(gram)
+    assert abs(value - full_column_lp(gram, *every_strategy(4))) <= 1e-9
+
+
+def test_dropped_tiny_entry_solves_and_matches_linprog():
+    # maximize x2 over x0 + 1e-12 x1 = 0.5, x0 + x1 - x2 = 0, 0 <= x <= 1.
+    # HiGHS drops the 1e-12 entry and passModel returns kWarning.
+    columns = (np.array([0, 2, 4, 5]), np.array([0, 1, 0, 1, 1]),
+               np.array([1.0, 1.0, 1e-12, 1.0, -1.0]))
+    b_eq = np.array([0.5, 0.0])
+    solver = lp_module.highs._Highs()
+    solver.passOptions(lp_module._COLD)
+    status = solver.passModel(
+        3, 2, 5, lp_module.highs.MatrixFormat.kColwise, lp_module.highs.ObjSense.kMinimize,
+        0.0, np.array([0.0, 0.0, -1.0]), np.zeros(3), np.ones(3), b_eq, b_eq,
+        *lp_module._nonzeros(columns), np.zeros(3, np.int32),
+    )
+    assert status == lp_module.highs.HighsStatus.kWarning
+    assert_matches_linprog((columns, b_eq, np.zeros(3), np.ones(3)), {})
+
+
+def test_models_are_passed_as_arrays(monkeypatch):
+    # maximize_last and Master hand HiGHS arrays, never a HighsLp.
+    def refuse(*args, **kwargs):
+        raise AssertionError("HighsLp built")
+
+    settings, model = span_model(4, 10, 17)
+    gram = SettingsEnsemble.random(4, np.random.default_rng(3)).gram
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module.highs, "HighsLp", refuse)
+        assert side_lp(np.array(model.b_table), np.array(model.rho), settings.svd) is not None
+        value, _ = max_visibility_for_gram(gram)
+    assert abs(value - full_column_lp(gram, *every_strategy(4))) <= 1e-9

@@ -200,7 +200,7 @@ def test_search_below_n_plus_one_squared_climbs_its_full_budget():
     settings = SettingsEnsemble.random(3, np.random.default_rng([133, 3]))
     cfg = SearchConfig(n_settings=3, m_states=15, inner_iters=1000, restarts=2, seed=3)
     _, est = inner_maximize(settings, cfg)
-    assert est.value == 0.7766569143867951
+    assert est.value == 0.7766569143712716
     assert est.iterations_used == 2002
 
 
