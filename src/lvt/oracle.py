@@ -27,6 +27,17 @@ Pricing scans only the 2^(N-1) gauge-fixed a, so no array ever holds
 every strategy column.  The master is one lvt.lp.Master for the whole
 solve: each round appends its priced columns, and primal simplex
 restarts from the last optimal basis.
+
+The master also forgets.  After a round that strictly raised V, once it
+holds more than 4(N^2 + 1) columns, it deletes every strategy column
+that was nonbasic in each of the last two rounds; V's own column always
+stays.  Those columns carry zero weight, so the current mixture stays
+feasible and V never falls, and a deleted strategy that prices in again
+simply rejoins.  Only rounds that raise V delete, and V at each such
+round is the optimum over one of finitely many column sets, so the
+generation cannot cycle; the last round still prices all 2^(2N-1)
+strategies, so the answer stays exact.  At N = 12 the master peaks at
+about 6 100 columns instead of 12 000-17 000.
 """
 
 from __future__ import annotations
@@ -38,13 +49,13 @@ from .errors import InvalidInputError, LvtError, ResourceLimitError
 from .estimate import VisibilityEstimate
 from .lp import Master, csc
 
-# Hard cap on settings per side; at N = 12 a solve took 12-32 s and
-# peaked at 370-540 MB on a 2-core machine.
+# Hard cap on settings per side; at N = 12 a solve took 6.6-11 s and
+# peaked at 187 MB on a 2-core machine.
 MAX_ORACLE_SETTINGS = 12
 
 # A strategy joins the master when its reduced gain exceeds this.
 _PRICE_TOL = 1e-9
-# Random instances up to N = 12 converge in at most about 10 rounds.
+# Random instances up to N = 12 converged in at most 14 rounds.
 _MAX_ROUNDS = 200
 
 

@@ -137,6 +137,94 @@ def test_oracle_master_certificate(monkeypatch, n):
     assert gains.max() <= oracle_module._PRICE_TOL
 
 
+# Deleting stale columns must leave the optimum where the full master
+# puts it, and the final duals must still price out every strategy.
+@pytest.mark.parametrize("n", [8, 10])
+def test_oracle_master_drops_stale_columns_exactly(monkeypatch, n):
+    gram = SettingsEnsemble.random(n, np.random.default_rng([27, n])).gram
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module, "_FLOOR_PER_ROW", 1 << 40)
+        kept_value, kept = built_master(patch, gram)
+    value, master = built_master(monkeypatch, gram)
+    assert abs(value - kept_value) <= 1e-9
+    assert master._solver.getNumCol() < kept._solver.getNumCol()
+
+    # Only nonbasic columns went, so the last basis is still optimal.
+    again, duals, nit = master.solve()
+    assert nit == 0
+    assert abs(again - value) <= 1e-12
+    a_rows, _ = every_strategy(n)
+    y, mu = duals[: n * n].reshape(n, n), duals[-1]
+    assert (np.abs(a_rows @ y).sum(axis=1) + mu).max() <= oracle_module._PRICE_TOL
+
+
+def master_columns(solver):
+    """The solver's constraint matrix, one bytes key per dense column."""
+    matrix = solver.getLp().a_matrix_
+    dense = sparse.csc_matrix(
+        (matrix.value_, matrix.index_, matrix.start_),
+        shape=(solver.getNumRow(), solver.getNumCol()),
+    ).toarray()
+    return [column.tobytes() for column in dense.T]
+
+
+def test_master_drops_only_columns_nonbasic_in_the_last_two_solves(monkeypatch):
+    # With no size floor every solve that raises V deletes; watch each.
+    monkeypatch.setattr(lp_module, "_FLOOR_PER_ROW", 0)
+    gram = SettingsEnsemble.random(4, np.random.default_rng(4)).gram
+    solves = []  # per solve: ({column: basic?}, deleted columns)
+    values, v_key = [], []
+
+    class HiddenV:
+        """The master's solver, but V's column is never reported basic."""
+
+        def __init__(self, master):
+            self.master, self.solver = master, master._solver
+
+        def __getattr__(self, name):
+            return getattr(self.solver, name)
+
+        def getBasicVariables(self):
+            status, basic = self.solver.getBasicVariables()
+            return status, basic[basic != self.master._objective]
+
+    # V's column is basic whenever 0 < V < 1; hide that, so that only
+    # the master's own guard keeps it.
+    class Watched(lp_module.Master):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._solver = HiddenV(self)
+
+        def _drop_stale(self, raised):
+            before = master_columns(self._solver)
+            if not v_key:
+                v_key.append(before[self._objective])
+            status = self._solver.getBasis().col_status
+            basic = {key: s == lp_module.highs.HighsBasisStatus.kBasic
+                     for key, s in zip(before, status)}
+            super()._drop_stale(raised)
+            after = master_columns(self._solver)
+            solves.append((basic, set(before) - set(after)))
+            assert after[self._objective] == v_key[0]
+
+        def solve(self):
+            solved = super().solve()
+            values.append(solved[0])
+            return solved
+
+    monkeypatch.setattr(oracle_module, "Master", Watched)
+    value, _ = max_visibility_for_gram(gram)
+    assert np.array_equal(np.frombuffer(v_key[0]), np.append(-gram.ravel(), 0.0))
+    assert sum(len(deleted) for _, deleted in solves) > 0
+    for t, (basic, deleted) in enumerate(solves):
+        assert v_key[0] not in deleted
+        assert not deleted or (t > 0 and values[t] > values[t - 1])
+        for key in deleted:
+            assert basic[key] is False
+            assert solves[t - 1][0].get(key) is False
+    assert abs(value - full_column_lp(gram, *every_strategy(4))) <= 1e-9
+
+
 def test_oracle_master_recovers_from_a_failed_dual_run():
     # The first, cold dual simplex run on this master ends in status
     # Unknown after 166 iterations; the primal retry from scratch solves it.
