@@ -39,7 +39,6 @@ from .construct import (
     validate_model,
 )
 from .core import (
-    Direction,
     legendre,
     quantum_joint,
     quantum_marginal,
@@ -87,7 +86,6 @@ __all__ = [
     "ChshConfiguration",
     "ConstructionFailureError",
     "DEFAULT_RHO_MIN",
-    "Direction",
     "DiscreteLhvModel",
     "GramSvd",
     "InvalidInputError",

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_direction, legendre, require_outcome, require_visibility
+from .core import checked_directions, dot, legendre, require_outcome, require_visibility
 from .errors import InvalidInputError, InvalidModelError
 
 # A response value this far below zero is treated as a genuine
@@ -103,7 +103,7 @@ def response(model: LegendreLhvModel, m: int, n, lam, side: str = "a") -> float:
         )
     if side == "b":
         m = -m
-    return float(model.evaluate(m * as_direction(n).dot(as_direction(lam))))
+    return float(model.evaluate(m * dot(checked_directions(n), checked_directions(lam))))
 
 
 def model_for_visibility(v: float) -> LegendreLhvModel:
@@ -119,7 +119,7 @@ def reconstruct_joint(model: LegendreLhvModel, m: int, m2: int, a, b) -> float:
     """Joint probability of the model: sum_j c_j^2/(2j+1) P_j(-m m' a.b)."""
     m = require_outcome(m)
     m2 = require_outcome(m2)
-    x = -m * m2 * as_direction(a).dot(as_direction(b))
+    x = -m * m2 * dot(checked_directions(a), checked_directions(b))
     x = min(1.0, max(-1.0, x))
     total = 0.0
     for j, c in enumerate(model.coefficients):

@@ -32,7 +32,7 @@ from .analytic import (
     validity_flip_visibility,
     validity_scan,
 )
-from .construct import SettingsEnsemble, validate_model
+from .construct import SettingsEnsemble, unit_rows, validate_model
 from .core import require_visibility, seeded_rng
 from .errors import (
     InvalidInputError,
@@ -131,7 +131,7 @@ def write_csv(path: str, estimates) -> None:
 
 
 def load_settings(path: str) -> SettingsEnsemble:
-    """Read {"a": [[x,y,z], ...], "b": [[x,y,z], ...]}; rows are normalized."""
+    """Read {"a": [[x,y,z], ...], "b": [[x,y,z], ...]}; rows are normalized by unit_rows."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -151,10 +151,9 @@ def load_settings(path: str) -> SettingsEnsemble:
             raise InvalidInputError(f'"{key}" must be a nonempty array of [x, y, z] triples')
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError(f'"{key}" contains non-finite components')
-        norms = np.linalg.norm(arr, axis=1)
-        if np.any(norms < 1e-12):
+        if np.any(np.linalg.norm(arr, axis=1) < 1e-12):
             raise InvalidInputError(f'"{key}" contains a zero vector')
-        sides[key] = arr / norms[:, None]
+        sides[key] = unit_rows(arr)
     return SettingsEnsemble(sides["a"], sides["b"])
 
 
@@ -305,14 +304,10 @@ def _cmd_oracle(args, seed: int):
 def _cmd_bell(args, seed: int):
     result = bell_threshold_numeric(seed=seed)
     cfg = result.configuration
-    closure = cfg.a.as_array() + cfg.c.as_array() - cfg.b.as_array()
+    closure = cfg.a + cfg.c - cfg.b
     details = {
         "max_expression": result.max_expression,
-        "configuration": {
-            "a": list(cfg.a.as_array()),
-            "b": list(cfg.b.as_array()),
-            "c": list(cfg.c.as_array()),
-        },
+        "configuration": {"a": cfg.a.tolist(), "b": cfg.b.tolist(), "c": cfg.c.tolist()},
         "closure_norm": float(np.linalg.norm(closure)),
     }
     lines = [
@@ -331,10 +326,7 @@ def _cmd_chsh(args, seed: int):
         "max_expression": result.max_expression,
         "phi": cfg.phi,
         "configuration": {
-            "a": list(cfg.a.as_array()),
-            "a2": list(cfg.a2.as_array()),
-            "b": list(cfg.b.as_array()),
-            "b2": list(cfg.b2.as_array()),
+            name: getattr(cfg, name).tolist() for name in ("a", "a2", "b", "b2")
         },
     }
     lines = [

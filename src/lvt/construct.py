@@ -32,10 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import NORM_SLACK, Direction, require_int, require_visibility
+from .core import checked_directions, require_int, require_visibility
 from .errors import InvalidInputError
 
 # Weight floor applied before the 1/sqrt(rho) division; prevents
@@ -68,33 +69,28 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def _checked_side(side, name: str) -> np.ndarray:
-    """An (N, 3) array of unit rows, each checked and renormalized as Direction does."""
-    if not isinstance(side, np.ndarray):
-        side = [d.as_array() if isinstance(d, Direction) else d for d in side]
-    vectors = np.array(side, dtype=float)
-    if vectors.ndim != 2 or vectors.shape[1] != 3 or vectors.shape[0] == 0:
-        raise InvalidInputError(
-            f"{name}-side directions must form a nonempty (N, 3) array, got shape {vectors.shape}"
-        )
-    x, y, z = vectors.T
-    norm = np.sqrt(x * x + y * y + z * z)
-    off = ~(np.abs(norm - 1.0) <= NORM_SLACK)
-    if off.any():
-        raise InvalidInputError(
-            f"{name}-side direction {np.argmax(off)} has norm {float(norm[off][0])!r}, "
-            f"not within {NORM_SLACK} of 1"
-        )
-    return _readonly(vectors / norm[:, None])
+    """An (N, 3) array of unit rows, each through lvt.core.checked_directions."""
+    vectors = checked_directions(side, f"{name}-side direction")
+    if vectors.ndim != 2:
+        raise InvalidInputError(f"{name}-side directions must form an (N, 3) array")
+    return vectors
+
+
+class _Xyz(NamedTuple):
+    """One settings row, for readers of .x/.y/.z."""
+
+    x: float
+    y: float
+    z: float
 
 
 @dataclass(frozen=True, eq=False)
 class SettingsEnsemble:
     """N measurement directions per side, held as read-only (N, 3) arrays.
 
-    Each side may be an (N, 3) array or a sequence of Directions or
-    triples; every row must have norm within NORM_SLACK of 1 and is
-    renormalized as Direction renormalizes.  An ensemble equals only
-    itself and hashes by identity.
+    Each side may be an (N, 3) array or a sequence of triples; every row
+    goes through lvt.core.checked_directions, as a single direction
+    does.  An ensemble equals only itself and hashes by identity.
     """
 
     a_matrix: np.ndarray
@@ -122,15 +118,19 @@ class SettingsEnsemble:
     def n_settings(self) -> int:
         return self.a_matrix.shape[0]
 
-    @cached_property
+    @property
     def a_side(self) -> tuple:
-        """The a side as Directions; each renormalizes its row, which can move it by an ulp."""
-        return tuple(Direction(*row) for row in self.a_matrix)
+        """a_matrix's rows as (x, y, z) named tuples holding the same floats.
 
-    @cached_property
+        Kept only for bench/worker.py, which reads each row's .x/.y/.z,
+        until it reads a_matrix itself.
+        """
+        return tuple(map(_Xyz._make, self.a_matrix.tolist()))
+
+    @property
     def b_side(self) -> tuple:
-        """The b side as Directions; each renormalizes its row, which can move it by an ulp."""
-        return tuple(Direction(*row) for row in self.b_matrix)
+        """b_matrix's rows as named tuples; see a_side."""
+        return tuple(map(_Xyz._make, self.b_matrix.tolist()))
 
     @cached_property
     def gram(self) -> np.ndarray:

@@ -15,9 +15,8 @@ All types are immutable values and all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,49 +58,40 @@ def seeded_rng(*entropy: int) -> np.random.Generator:
     )
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector on the sphere, used for settings and hidden variables.
+def checked_directions(vectors, name: str = "direction") -> np.ndarray:
+    """A read-only copy of a (3,) or nonempty (N, 3) array of unit vectors.
 
-    Components are renormalized on construction; inputs whose norm
-    deviates from 1 by more than ``NORM_SLACK`` are rejected.
+    Lists, tuples and arrays are accepted.  Each vector must be finite
+    with norm sqrt(x x + y y + z z) within ``NORM_SLACK`` of 1, and is
+    divided by that norm.  Dividing twice can move a vector by an ulp.
     """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        x, y, z = float(self.x), float(self.y), float(self.z)
-        norm = math.sqrt(x * x + y * y + z * z)
-        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_SLACK:
-            raise InvalidInputError(
-                f"direction ({x}, {y}, {z}) has norm {norm!r}, not within "
-                f"{NORM_SLACK} of 1"
-            )
-        object.__setattr__(self, "x", x / norm)
-        object.__setattr__(self, "y", y / norm)
-        object.__setattr__(self, "z", z / norm)
-
-    @classmethod
-    def from_array(cls, vec: Sequence[float]) -> "Direction":
-        arr = np.asarray(vec, dtype=float)
-        if arr.shape != (3,):
-            raise InvalidInputError(f"direction needs 3 components, got shape {arr.shape}")
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def dot(self, other: "Direction") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+    try:
+        arr = np.array(vectors, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not an array of numbers: {exc}") from exc
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3 or arr.size == 0:
+        raise InvalidInputError(
+            f"{name} must be a (3,) or nonempty (N, 3) array, got shape {arr.shape}"
+        )
+    rows = arr.reshape(-1, 3)
+    x, y, z = rows.T
+    norm = np.sqrt(x * x + y * y + z * z)
+    off = ~(np.abs(norm - 1.0) <= NORM_SLACK)
+    if off.any():
+        row = int(np.argmax(off))
+        label = f"{name} {row}" if arr.ndim == 2 else name
+        raise InvalidInputError(
+            f"{label} {rows[row].tolist()} has norm {float(norm[row])!r}, "
+            f"not within {NORM_SLACK} of 1"
+        )
+    rows /= norm[:, None]
+    arr.flags.writeable = False
+    return arr
 
 
-def as_direction(obj) -> Direction:
-    """``obj`` itself if it is a Direction, else the Direction of its 3 components."""
-    if isinstance(obj, Direction):
-        return obj
-    return Direction.from_array(obj)
+def dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v of two 3-vectors, summed left to right: x x' + y y' + z z'."""
+    return float(u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
 
 
 def quantum_joint(m: int, m2: int, a, b, v: float) -> float:
@@ -113,14 +103,14 @@ def quantum_joint(m: int, m2: int, a, b, v: float) -> float:
     m = require_outcome(m)
     m2 = require_outcome(m2)
     v = require_visibility(v)
-    return (1.0 - m * m2 * v * as_direction(a).dot(as_direction(b))) / 4.0
+    return (1.0 - m * m2 * v * dot(checked_directions(a), checked_directions(b))) / 4.0
 
 
 def quantum_marginal(m: int, a, v: float) -> float:
     """Single-side outcome probability; always 1/2 (the correlation cancels)."""
     require_outcome(m)
     require_visibility(v)
-    as_direction(a)
+    checked_directions(a)
     return 0.5
 
 
@@ -152,27 +142,30 @@ def legendre(j: int, x):
 
 
 @lru_cache(maxsize=64)
-def _sphere_nodes(degree: int) -> tuple[tuple[Direction, ...], tuple[float, ...]]:
-    """Quadrature nodes/weights for the normalized sphere average.
+def _sphere_nodes(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes, one read-only (K, 3) array, and their weights.
 
     (degree+1) Gauss-Legendre nodes in cos(theta) crossed with
     2*(degree+1) uniform azimuth nodes: exact for integrands polynomial
-    in the direction components up to total degree ``degree``.
+    in the direction components up to total degree ``degree``; the
+    weights sum to 1, the normalized sphere average.
     """
     cos_nodes, cos_weights = np.polynomial.legendre.leggauss(degree + 1)
     n_phi = 2 * (degree + 1)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    dirs = []
-    weights = []
-    for u, w in zip(cos_nodes, cos_weights):
+    nodes = []
+    for u in cos_nodes:
         sin_t = math.sqrt(max(0.0, 1.0 - u * u))
-        for phi in phis:
-            dirs.append(Direction(sin_t * math.cos(phi), sin_t * math.sin(phi), u))
-            weights.append(w / (2.0 * n_phi))
-    return tuple(dirs), tuple(weights)
+        nodes.extend((sin_t * math.cos(phi), sin_t * math.sin(phi), u) for phi in phis)
+    weights = np.repeat(cos_weights / (2.0 * n_phi), n_phi)
+    weights.flags.writeable = False
+    return checked_directions(nodes, "quadrature node"), weights
 
 
-def sphere_quadrature(f: Callable[[Direction], float], degree: int) -> float:
-    """Average of ``f`` over the unit sphere (integral against dOmega/4pi)."""
-    dirs, weights = _sphere_nodes(require_int(degree, "quadrature degree", 1))
-    return float(sum(w * f(d) for d, w in zip(dirs, weights)))
+def sphere_quadrature(f: Callable[[np.ndarray], float], degree: int) -> float:
+    """Average of ``f`` over the unit sphere (integral against dOmega/4pi).
+
+    ``f`` receives each node as a read-only row of shape (3,).
+    """
+    nodes, weights = _sphere_nodes(require_int(degree, "quadrature degree", 1))
+    return float(sum(w * f(x) for x, w in zip(nodes, weights)))

@@ -19,12 +19,12 @@ evaluate the same expression, written once at V = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import Direction, as_direction, require_visibility, seeded_rng
+from .core import checked_directions, dot, require_visibility, seeded_rng
 from .errors import InvalidInputError
 from .estimate import VisibilityEstimate
 
@@ -32,35 +32,46 @@ from .estimate import VisibilityEstimate
 _STARTS = 64
 
 
-@dataclass(frozen=True)
+def _check_fields(cfg) -> None:
+    for field in fields(cfg):
+        value = checked_directions(getattr(cfg, field.name), field.name)
+        object.__setattr__(cfg, field.name, value)
+
+
+@dataclass(frozen=True, eq=False)
 class BellConfiguration:
-    """Three settings probing the strict-anticorrelation Bell bound."""
+    """Three settings probing the strict-anticorrelation Bell bound.
 
-    a: Direction
-    b: Direction
-    c: Direction
+    Each field is a read-only unit (3,) array, checked and renormalized
+    by lvt.core.checked_directions.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, as_direction(getattr(self, name)))
+        _check_fields(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChshConfiguration:
-    """Two settings per side; phi is the angle between b and b2."""
+    """Two settings per side, held as BellConfiguration holds its three.
 
-    a: Direction
-    a2: Direction
-    b: Direction
-    b2: Direction
+    phi is the angle between b and b2.
+    """
+
+    a: np.ndarray
+    a2: np.ndarray
+    b: np.ndarray
+    b2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("a", "a2", "b", "b2"):
-            object.__setattr__(self, name, as_direction(getattr(self, name)))
+        _check_fields(self)
 
     @property
     def phi(self) -> float:
-        return math.acos(min(1.0, max(-1.0, self.b.dot(self.b2))))
+        return math.acos(min(1.0, max(-1.0, dot(self.b, self.b2))))
 
 
 def _bell_expression(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -79,14 +90,13 @@ def _chsh_expression(a: np.ndarray, a2: np.ndarray, b: np.ndarray, b2: np.ndarra
 def bell_lhs(cfg: BellConfiguration, v: float) -> float:
     """(V/2)(3 - |a+c-b|^2); the Bell bound is violated iff this exceeds 1."""
     v = require_visibility(v)
-    return v * _bell_expression(cfg.a.as_array(), cfg.b.as_array(), cfg.c.as_array())
+    return v * _bell_expression(cfg.a, cfg.b, cfg.c)
 
 
 def chsh_lhs(cfg: ChshConfiguration, v: float) -> float:
     """(V/2)(|a+b2-b|^2 + |a2-b2-b|^2 - 6); violated iff this exceeds 2."""
     v = require_visibility(v)
-    dirs = (cfg.a, cfg.a2, cfg.b, cfg.b2)
-    return v * _chsh_expression(*(d.as_array() for d in dirs))
+    return v * _chsh_expression(cfg.a, cfg.a2, cfg.b, cfg.b2)
 
 
 def aligned_chsh_configuration(b, b2) -> ChshConfiguration:
@@ -95,22 +105,19 @@ def aligned_chsh_configuration(b, b2) -> ChshConfiguration:
     a points along b2 - b and a2 along -(b + b2); undefined when b and
     b2 are (anti)parallel.
     """
-    b = as_direction(b)
-    b2 = as_direction(b2)
-    diff = b2.as_array() - b.as_array()
-    total = b.as_array() + b2.as_array()
+    unit_b = checked_directions(b, "b")
+    unit_b2 = checked_directions(b2, "b2")
+    diff = unit_b2 - unit_b
+    total = unit_b + unit_b2
     diff_norm = float(np.linalg.norm(diff))
     total_norm = float(np.linalg.norm(total))
     if diff_norm < 1e-9 or total_norm < 1e-9:
         raise InvalidInputError(
             "alignment is undefined for parallel or antiparallel b, b2"
         )
-    return ChshConfiguration(
-        a=Direction(*(diff / diff_norm)),
-        a2=Direction(*(-total / total_norm)),
-        b=b,
-        b2=b2,
-    )
+    # b and b2 go in as given, so each is renormalized once, as unit_b
+    # and unit_b2 were; renormalizing those again could move an ulp.
+    return ChshConfiguration(a=diff / diff_norm, a2=-total / total_norm, b=b, b2=b2)
 
 
 def chsh_angle_lhs(phi: float, v: float) -> float:

@@ -1,12 +1,12 @@
-"""Random unit vectors for tests, drawn one Direction at a time."""
+"""Random unit vectors for tests, drawn one direction at a time."""
 
 import numpy as np
 
-from lvt import Direction
+from lvt.core import checked_directions
 
 
-def random_direction(rng: np.random.Generator) -> Direction:
-    """Three standard normals over their norm, then through Direction.
+def random_direction(rng: np.random.Generator) -> np.ndarray:
+    """Three standard normals over their norm, then through checked_directions.
 
     The same draws and arithmetic as SettingsEnsemble.random, one row at
     a time, so tests also use it as that method's reference.
@@ -15,4 +15,4 @@ def random_direction(rng: np.random.Generator) -> Direction:
         vec = rng.standard_normal(3)
         norm = float(np.linalg.norm(vec))
         if norm > 1e-12:
-            return Direction(*(vec / norm))
+            return checked_directions(vec / norm)

@@ -99,10 +99,10 @@ def test_criterion_2_reconstruction_identity():
                 worst_direct, abs(direct - quantum_joint(m, m2, a, b, v))
             )
         for a, b, m, m2 in tuples[:5]:
-            def product(d):
+            def product(x):
                 return (
-                    response(model, m, a, d.as_array(), side="a")
-                    * response(model, m2, b, d.as_array(), side="b")
+                    response(model, m, a, x, side="a")
+                    * response(model, m2, b, x, side="b")
                 )
 
             integral = sphere_quadrature(product, 6)
@@ -129,15 +129,12 @@ def test_criterion_3_legendre_orthogonality():
         v = random_direction(rng)
         for j in range(5):
             for k in range(5):
-                def product(d):
-                    x = d.as_array()
-                    return legendre(j, float(x @ u.as_array())) * legendre(
-                        k, float(x @ v.as_array())
-                    )
+                def product(x):
+                    return legendre(j, float(x @ u)) * legendre(k, float(x @ v))
 
                 integral = sphere_quadrature(product, max(1, j + k))
                 expected = (
-                    legendre(j, u.dot(v)) / (2 * j + 1) if j == k else 0.0
+                    legendre(j, float(u @ v)) / (2 * j + 1) if j == k else 0.0
                 )
                 worst = max(worst, abs(integral - expected))
     elapsed = time.perf_counter() - started
@@ -184,9 +181,7 @@ def test_criterion_5_bell_threshold():
     result = bell_threshold_numeric(seed=ACCEPTANCE_SEED)
     elapsed = time.perf_counter() - started
     cfg = result.configuration
-    closure = float(
-        np.linalg.norm(cfg.a.as_array() + cfg.c.as_array() - cfg.b.as_array())
-    )
+    closure = float(np.linalg.norm(cfg.a + cfg.c - cfg.b))
     value_ok = abs(result.threshold - 2.0 / 3.0) < 1e-3
     closure_ok = closure < 0.05
     ok = value_ok and closure_ok and elapsed < 10.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lvt import (
-    Direction,
     InvalidModelError,
     LegendreLhvModel,
     analytic_threshold,
@@ -75,7 +74,7 @@ def test_response_sides_related_by_outcome_flip():
 def test_response_rejects_non_probability_model():
     bad = LegendreLhvModel(coefficients=(0.5, 0.25, 0.1))
     with pytest.raises(InvalidModelError):
-        response(bad, 1, Direction(0, 0, 1), Direction(1, 0, 0))
+        response(bad, 1, [0, 0, 1], [1, 0, 0])
 
 
 def test_reconstruction_matches_quantum_joint():
@@ -94,7 +93,7 @@ def test_reconstruction_matches_quantum_joint():
 
 def test_reconstruction_value_at_threshold():
     model = model_for_visibility(1.0 / 3.0)
-    a = Direction(0.0, 0.0, 1.0)
+    a = (0.0, 0.0, 1.0)
     assert abs(reconstruct_joint(model, 1, 1, a, a) - 1.0 / 6.0) < 1e-12
 
 
@@ -103,14 +102,11 @@ def test_reconstruction_agrees_with_quadrature():
     rng = np.random.default_rng(23)
     a = random_direction(rng)
     b = random_direction(rng)
-    av = a.as_array()
-    bv = b.as_array()
     c1 = model.coefficients[1]
     for m, mp in ((1, 1), (1, -1), (-1, 1)):
-        def product(d, m=m, mp=mp):
-            x = d.as_array()
-            fa = 0.5 + m * c1 * float(x @ av)
-            fb = 0.5 - mp * c1 * float(x @ bv)
+        def product(x, m=m, mp=mp):
+            fa = 0.5 + m * c1 * float(x @ a)
+            fb = 0.5 - mp * c1 * float(x @ b)
             return fa * fb
 
         quad = sphere_quadrature(product, 6)

@@ -385,8 +385,8 @@ def test_settings_loader_normalizes_rows(tmp_path):
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps({"a": [[0.0, 0.0, 2.0]], "b": [[3.0, 0.0, 0.0]]}))
     ensemble = load_settings(str(path))
-    np.testing.assert_allclose(ensemble.a_side[0].as_array(), [0.0, 0.0, 1.0])
-    np.testing.assert_allclose(ensemble.b_side[0].as_array(), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(ensemble.a_matrix, [[0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(ensemble.b_matrix, [[1.0, 0.0, 0.0]])
 
 
 def test_parse_helpers_reject_bad_text():

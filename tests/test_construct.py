@@ -5,7 +5,6 @@ import pytest
 
 from lvt import (
     DiscreteLhvModel,
-    Direction,
     InvalidInputError,
     SettingsEnsemble,
     ValidationReport,
@@ -21,15 +20,11 @@ from models import span_model, span_state
 
 
 def _triad():
-    return (
-        Direction(1.0, 0.0, 0.0),
-        Direction(0.0, 1.0, 0.0),
-        Direction(0.0, 0.0, 1.0),
-    )
+    return ((1.0, 0.0, 0.0), [0.0, 1.0, 0.0], np.array([0.0, 0.0, 1.0]))
 
 
 def test_svd_single_aligned_pair():
-    z = Direction(0.0, 0.0, 1.0)
+    z = (0.0, 0.0, 1.0)
     svd = gram_svd(SettingsEnsemble((z,), (z,)))
     assert np.allclose(svd.p, [1.0, 0.0, 0.0])
 
@@ -50,7 +45,7 @@ def _coplanar(n, rng):
 def test_svd_reconstructs_gram():
     rng = np.random.default_rng(31)
     cases = [(SettingsEnsemble.random(n, rng), min(n, 3)) for n in (1, 2, 3, 5, 200)]
-    same = np.tile(random_direction(rng).as_array(), (6, 1))
+    same = np.tile(random_direction(rng), (6, 1))
     cases.append((SettingsEnsemble(same, SettingsEnsemble.random(6, rng).b_matrix), 1))
     cases.append((SettingsEnsemble(_coplanar(7, rng), _coplanar(7, rng)), 2))
     for settings, rank in cases:
@@ -123,9 +118,7 @@ def test_assembled_model_saturates_bound():
 
 
 def test_zero_gram_gives_full_visibility():
-    a_side = (Direction(0.0, 0.0, 1.0), Direction(0.0, 0.0, -1.0))
-    b_side = (Direction(1.0, 0.0, 0.0), Direction(0.0, 1.0, 0.0))
-    settings = SettingsEnsemble(a_side, b_side)
+    settings = SettingsEnsemble([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)], np.eye(3)[:2])
     assert np.max(np.abs(settings.gram)) == 0.0
     model = state_to_model(span_state(1, np.full(4, 0.25)), settings)
     assert model.visibility == 1.0
@@ -151,7 +144,7 @@ def test_frame_scale_transfer_keeps_raw_product():
 
 
 def test_validation_flags_bound_violation():
-    z = Direction(0.0, 0.0, 1.0)
+    z = (0.0, 0.0, 1.0)
     settings = SettingsEnsemble((z,), (z,))
     rho = np.array([0.5, 0.5])
     a_table = np.array([[1.5, -1.5]])
@@ -163,7 +156,7 @@ def test_validation_flags_bound_violation():
 
 
 def test_two_state_anticorrelation_model_passes():
-    z = Direction(0.0, 0.0, 1.0)
+    z = (0.0, 0.0, 1.0)
     settings = SettingsEnsemble((z,), (z,))
     rho = np.array([0.5, 0.5])
     a_table = np.array([[1.0, -1.0]])
@@ -262,17 +255,30 @@ def test_settings_gram_is_clipped_dot_products():
     rng = np.random.default_rng(53)
     settings = SettingsEnsemble.random(5, rng)
     assert np.max(np.abs(settings.gram)) <= 1.0
-    a0 = settings.a_side[0].as_array()
-    b2 = settings.b_side[2].as_array()
+    a0 = settings.a_matrix[0]
+    b2 = settings.b_matrix[2]
     assert abs(settings.gram[0, 2] - float(a0 @ b2)) < 1e-15
 
 
+def test_side_rows_reproduce_the_matrices_bit_for_bit():
+    # SettingsEnsemble.a_side / b_side hold the rows of a_matrix /
+    # b_matrix, read by bench/worker.py through each row's .x/.y/.z.
+    settings = SettingsEnsemble.random(1000, np.random.default_rng(3))
+    for side, matrix in ((settings.a_side, settings.a_matrix),
+                         (settings.b_side, settings.b_matrix)):
+        assert len(side) == matrix.shape[0]
+        rows = np.array([[d.x, d.y, d.z] for d in side])
+        assert rows.tobytes() == matrix.tobytes()
+        with pytest.raises(AttributeError):
+            side[0].x = 0.0
+
+
 def test_settings_sides_must_match_length():
-    z = Direction(0.0, 0.0, 1.0)
-    x = Direction(1.0, 0.0, 0.0)
+    z = (0.0, 0.0, 1.0)
+    x = [1.0, 0.0, 0.0]
     with pytest.raises(InvalidInputError):
         SettingsEnsemble((z, x), (z,))
-    # Array sides: each row is checked as Direction checks its components.
+    # Array sides: each row goes through the one direction check.
     unit = np.eye(3)
     off_norm = unit.copy()
     off_norm[1] *= 1.0 + 1e-6

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lvt import (
-    Direction,
     InvalidInputError,
     SettingsEnsemble,
     legendre,
@@ -13,6 +12,7 @@ from lvt import (
     sphere_quadrature,
 )
 from lvt.construct import DiscreteLhvModel
+from lvt.core import checked_directions
 from lvt.estimate import VisibilityEstimate
 from lvt.search import SearchConfig, n_sweep
 
@@ -20,15 +20,49 @@ from directions import random_direction
 
 
 def test_direction_renormalizes_small_drift():
-    d = Direction(1.0 + 5e-10, 0.0, 0.0)
-    assert math.isclose(np.linalg.norm(d.as_array()), 1.0, abs_tol=1e-15)
+    d = checked_directions((1.0 + 5e-10, 0.0, 0.0))
+    assert math.isclose(np.linalg.norm(d), 1.0, abs_tol=1e-15)
+    assert not d.flags.writeable
+
+
+NOT_UNIT_DIRECTIONS = [
+    [1.0, 0.0],  # wrong shape
+    [[1.0, 0.0, 0.0, 0.0]],
+    [[[1.0, 0.0, 0.0]]],
+    np.empty((0, 3)),
+    [[1.0, 0.0], [0.0, 1.0, 0.0]],  # ragged
+    "x",
+    [math.nan, 0.0, 1.0],
+    [math.inf, 0.0, 0.0],
+    [[0.0, 0.0, 1.0], [0.0, -math.inf, 0.0]],
+    [0.0, 0.0, 0.0],
+    [1.0, 1.0, 0.0],
+    [1.0 + 2e-9, 0.0, 0.0],  # norm off by more than NORM_SLACK
+    [[0.0, 0.0, 1.0], [0.0, 1.0 - 2e-9, 0.0]],
+]
 
 
 def test_direction_rejects_non_unit():
-    with pytest.raises(InvalidInputError):
-        Direction(1.0, 1.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        Direction(0.0, 0.0, 0.0)
+    for bad in NOT_UNIT_DIRECTIONS:
+        with pytest.raises(InvalidInputError):
+            checked_directions(bad)
+
+
+def test_direction_check_accepts_lists_tuples_and_arrays():
+    for one in ([0.0, 0.6, 0.8], (0.0, 0.6, 0.8), np.array([0.0, 0.6, 0.8])):
+        np.testing.assert_array_equal(checked_directions(one), [0.0, 0.6, 0.8])
+    rows = [[0.0, 0.6, 0.8], (1.0, 0.0, 0.0)]
+    for many in (rows, tuple(rows), np.array(rows)):
+        assert checked_directions(many).shape == (2, 3)
+
+
+def test_direction_checked_alone_matches_its_row_in_an_ensemble():
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((1000, 3))
+    raw /= np.linalg.norm(raw, axis=1)[:, None]
+    settings = SettingsEnsemble(raw, raw[::-1])
+    for j in range(raw.shape[0]):
+        assert checked_directions(raw[j]).tobytes() == settings.a_matrix[j].tobytes()
 
 
 def test_direction_random_is_unit_and_seeded():
@@ -40,12 +74,12 @@ def test_direction_random_is_unit_and_seeded():
 
 
 def test_joint_perfect_anticorrelation_vanishes():
-    a = Direction(0.0, 0.0, 1.0)
+    a = [0.0, 0.0, 1.0]
     assert quantum_joint(1, 1, a, a, 1.0) == 0.0
 
 
 def test_joint_opposite_outcomes_at_third_visibility():
-    a = Direction(0.0, 0.0, 1.0)
+    a = (0.0, 0.0, 1.0)
     assert abs(quantum_joint(1, -1, a, a, 1.0 / 3.0) - 1.0 / 3.0) < 1e-15
 
 
@@ -60,17 +94,21 @@ def test_joint_outcomes_sum_to_one():
 
 
 def test_joint_validates_inputs():
-    a = Direction(0.0, 0.0, 1.0)
+    a = np.array([0.0, 0.0, 1.0])
     with pytest.raises(InvalidInputError):
         quantum_joint(2, 1, a, a, 0.5)
     with pytest.raises(InvalidInputError):
         quantum_joint(1, 1, a, a, 1.5)
     with pytest.raises(InvalidInputError):
         quantum_joint(1, 1, a, a, -0.1)
+    with pytest.raises(InvalidInputError):
+        quantum_joint(1, 1, a, [1.0, 1.0, 0.0], 0.5)
+    with pytest.raises(InvalidInputError):
+        quantum_marginal(1, [0.0, 0.0], 0.5)
 
 
 def test_marginal_is_half_everywhere():
-    a = Direction(1.0, 0.0, 0.0)
+    a = [1.0, 0.0, 0.0]
     assert quantum_marginal(1, a, 0.9) == 0.5
     assert quantum_marginal(-1, a, 0.0) == 0.5
 
@@ -102,13 +140,16 @@ def test_quadrature_normalization():
     assert abs(sphere_quadrature(lambda d: 1.0, 4) - 1.0) < 1e-14
 
 
+def test_quadrature_second_moment():
+    assert abs(sphere_quadrature(lambda x: x[2] ** 2, 2) - 1.0 / 3.0) < 1e-15
+
+
 def test_quadrature_product_identity():
     rng = np.random.default_rng(11)
-    u = random_direction(rng).as_array()
-    v = random_direction(rng).as_array()
+    u = random_direction(rng)
+    v = random_direction(rng)
 
-    def product(d):
-        x = d.as_array()
+    def product(x):
         return legendre(2, float(x @ u)) * legendre(2, float(x @ v))
 
     value = sphere_quadrature(product, 8)
@@ -143,7 +184,7 @@ INT_ARGUMENTS = {
         lambda v: SettingsEnsemble.random(v, np.random.default_rng(0)).n_settings, 1
     ),
     "legendre": (lambda v: legendre(v, 0.5), 0),
-    "sphere_quadrature": (lambda v: sphere_quadrature(lambda d: d.z ** 2, v), 1),
+    "sphere_quadrature": (lambda v: sphere_quadrature(lambda x: x[2] ** 2, v), 1),
     **{f"VisibilityEstimate.{name}": (_estimate_field(name), 0)
        for name in ("n_settings", "seed", "iterations_used")},
 }

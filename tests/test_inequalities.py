@@ -6,7 +6,6 @@ import pytest
 from lvt import (
     BellConfiguration,
     ChshConfiguration,
-    Direction,
     InvalidInputError,
     aligned_chsh_configuration,
     bell_lhs,
@@ -21,11 +20,11 @@ from directions import random_direction
 
 def test_three_setting_closed_form_value():
     cfg = BellConfiguration(
-        a=Direction(1.0, 0.0, 0.0),
-        b=Direction(0.0, 1.0, 0.0),
-        c=Direction(0.0, 0.0, 1.0),
+        a=[1.0, 0.0, 0.0],
+        b=(0.0, 1.0, 0.0),
+        c=np.array([0.0, 0.0, 1.0]),
     )
-    closure = cfg.a.as_array() + cfg.c.as_array() - cfg.b.as_array()
+    closure = cfg.a + cfg.c - cfg.b
     expected = 0.5 * 0.5 * (3.0 - float(closure @ closure))
     assert abs(bell_lhs(cfg, 0.5) - expected) < 1e-14
 
@@ -33,9 +32,9 @@ def test_three_setting_closed_form_value():
 def test_three_setting_maximum_at_closed_triangle():
     # vectors at 120 degrees make a + c itself unit, so b = a + c closes
     # the triangle exactly and the expression peaks at 3V/2 = 1 at V=2/3
-    a = Direction(1.0, 0.0, 0.0)
-    c = Direction(-0.5, math.sqrt(3.0) / 2.0, 0.0)
-    b = Direction.from_array(a.as_array() + c.as_array())
+    a = np.array([1.0, 0.0, 0.0])
+    c = np.array([-0.5, math.sqrt(3.0) / 2.0, 0.0])
+    b = a + c
     cfg = BellConfiguration(a=a, b=b, c=c)
     assert abs(bell_lhs(cfg, 2.0 / 3.0) - 1.0) < 1e-12
 
@@ -44,7 +43,7 @@ def test_three_setting_threshold():
     result = bell_threshold_numeric(seed=0)
     assert abs(result.threshold - 2.0 / 3.0) < 1e-3
     cfg = result.configuration
-    closure = cfg.a.as_array() + cfg.c.as_array() - cfg.b.as_array()
+    closure = cfg.a + cfg.c - cfg.b
     assert float(np.linalg.norm(closure)) < 0.05
     est = result.estimate()
     assert est.provenance == "bell"
@@ -69,11 +68,27 @@ def test_four_setting_closed_form_value():
         b=random_direction(rng),
         b2=random_direction(rng),
     )
-    av, a2v, bv, b2v = (d.as_array() for d in (cfg.a, cfg.a2, cfg.b, cfg.b2))
-    first = av + b2v - bv
-    second = a2v - b2v - bv
+    first = cfg.a + cfg.b2 - cfg.b
+    second = cfg.a2 - cfg.b2 - cfg.b
     expected = 0.45 * 0.5 * (float(first @ first) + float(second @ second) - 6.0)
     assert abs(chsh_lhs(cfg, 0.45) - expected) < 1e-13
+
+
+def test_configurations_hold_checked_read_only_arrays():
+    cfg = ChshConfiguration(
+        a=[1.0, 0.0, 0.0], a2=(0.0, 1.0, 0.0), b=[0.0, 0.0, 1.0], b2=[0.0, 1.0, 0.0]
+    )
+    for name in ("a", "a2", "b", "b2"):
+        value = getattr(cfg, name)
+        assert isinstance(value, np.ndarray) and value.shape == (3,)
+        assert not value.flags.writeable
+    assert cfg.phi == math.pi / 2.0
+    # eq=False: arrays have no truth value, so configurations compare by identity
+    assert cfg == cfg and cfg != ChshConfiguration(cfg.a, cfg.a2, cfg.b, cfg.b2)
+    with pytest.raises(InvalidInputError):
+        BellConfiguration(a=[1.0, 0.0, 0.0], b=[0.0, 2.0, 0.0], c=[0.0, 0.0, 1.0])
+    with pytest.raises(InvalidInputError):
+        ChshConfiguration(a=[1.0, 0.0], a2=cfg.a2, b=cfg.b, b2=cfg.b2)
 
 
 def test_four_setting_angle_form_peaks_at_right_angle():
@@ -90,7 +105,7 @@ def test_aligned_configuration_matches_angle_form():
     for _ in range(5):
         b = random_direction(rng)
         b2 = random_direction(rng)
-        phi = math.acos(max(-1.0, min(1.0, float(b.as_array() @ b2.as_array()))))
+        phi = math.acos(max(-1.0, min(1.0, float(b @ b2))))
         if phi < 0.1 or phi > math.pi - 0.1:
             continue
         cfg = aligned_chsh_configuration(b, b2)
@@ -99,7 +114,7 @@ def test_aligned_configuration_matches_angle_form():
 
 
 def test_aligned_configuration_rejects_parallel_directions():
-    b = Direction(0.0, 0.0, 1.0)
+    b = [0.0, 0.0, 1.0]
     with pytest.raises(InvalidInputError):
         aligned_chsh_configuration(b, b)
 

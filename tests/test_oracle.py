@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import linprog
 
 from lvt import (
-    Direction,
     ResourceLimitError,
     SettingsEnsemble,
     max_visibility_for_gram,
@@ -56,8 +55,8 @@ def test_matches_full_column_lp():
 
 
 def test_single_pair_always_fully_visible():
-    z = Direction(0.0, 0.0, 1.0)
-    tilted = Direction(math.sin(0.3), 0.0, math.cos(0.3))
+    z = (0.0, 0.0, 1.0)
+    tilted = (math.sin(0.3), 0.0, math.cos(0.3))
     for other in (z, tilted):
         est = max_visibility_lp(SettingsEnsemble((z,), (other,)))
         assert abs(est.value - 1.0) < 1e-9

@@ -9,7 +9,6 @@ from lvt import seesaw as seesaw_module
 from lvt import (
     DEFAULT_RHO_MIN,
     ConstructionFailureError,
-    Direction,
     InvalidInputError,
     SearchConfig,
     SettingsEnsemble,
@@ -25,7 +24,7 @@ from lvt import (
     validate_model,
 )
 from lvt.construct import ValidationReport, _floor_normalized, project_out, unit_rows
-from lvt.core import seeded_rng
+from lvt.core import checked_directions, seeded_rng
 
 from directions import random_direction
 
@@ -45,7 +44,7 @@ def test_config_validation():
 def test_single_pair_converges_to_full_visibility():
     # At N = 1 every M >= 4 reaches (N+1)^2, so the climb takes one step
     # per restart and the finish alone lifts its model to V = 1.
-    z = Direction(0.0, 0.0, 1.0)
+    z = (0.0, 0.0, 1.0)
     settings = SettingsEnsemble((z,), (z,))
     for m in (4, 5):
         cfg = SearchConfig(n_settings=1, m_states=m, inner_iters=3000, restarts=2, seed=2)
@@ -507,11 +506,11 @@ def test_perturbed_settings_stay_unit():
 
 
 def reference_jitter(side, rng):
-    """perturb_settings on one side, one Direction at a time."""
+    """perturb_settings on one side, one direction at a time."""
     out = []
     for d in side:
-        vec = d.as_array() + search_module._SETTINGS_JITTER * rng.standard_normal(3)
-        out.append(Direction(*(vec / np.linalg.norm(vec))))
+        vec = d + search_module._SETTINGS_JITTER * rng.standard_normal(3)
+        out.append(checked_directions(vec / np.linalg.norm(vec)))
     return out
 
 
@@ -519,7 +518,7 @@ def reference_jitter(side, rng):
 def test_array_settings_match_directions_drawn_one_at_a_time(n):
     def same_rows(settings, sides):
         return all(
-            np.array_equal(matrix, [d.as_array() for d in side])
+            np.array_equal(matrix, side)
             for matrix, side in zip((settings.a_matrix, settings.b_matrix), sides)
         )
 
