@@ -41,7 +41,6 @@ from .construct import (
 from .core import (
     legendre,
     quantum_joint,
-    quantum_marginal,
     sphere_quadrature,
 )
 from .errors import (
@@ -56,11 +55,7 @@ from .inequalities import (
     BellConfiguration,
     ChshConfiguration,
     ThresholdResult,
-    aligned_chsh_configuration,
-    bell_lhs,
     bell_threshold_numeric,
-    chsh_angle_lhs,
-    chsh_lhs,
     chsh_threshold_numeric,
 )
 from .oracle import (
@@ -100,12 +95,8 @@ __all__ = [
     "ThresholdResult",
     "ValidationReport",
     "VisibilityEstimate",
-    "aligned_chsh_configuration",
     "analytic_threshold",
-    "bell_lhs",
     "bell_threshold_numeric",
-    "chsh_angle_lhs",
-    "chsh_lhs",
     "chsh_threshold_numeric",
     "extrapolate",
     "fit_power_law",
@@ -119,7 +110,6 @@ __all__ = [
     "outer_minimize",
     "perturb_settings",
     "quantum_joint",
-    "quantum_marginal",
     "reconstruct_joint",
     "response",
     "sphere_quadrature",

@@ -70,12 +70,14 @@ SEARCH_WORK_LIMITS = {"climb steps": 2e6, "climb table entries": 1e9, "finish LP
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Everything one invocation computed, ready for serialization."""
+    """Everything one invocation computed, ready for serialization.
+
+    config holds the run's seed, which the record repeats at top level.
+    """
 
     command: str
     config: dict
     estimates: tuple
-    seed: int
     details: dict
 
     def to_dict(self) -> dict:
@@ -85,7 +87,7 @@ class RunRecord:
             "estimates": [e.to_dict() for e in self.estimates],
             "wall_time_s": 0.0,
             "version": __version__,
-            "seed": self.seed,
+            "seed": self.config["seed"],
             "details": dict(self.details),
         }
 
@@ -223,7 +225,7 @@ def _cmd_analytic(args, seed: int):
     ]
     lines += [f"  v={v:.6f}  {'valid' if ok else 'invalid'}" for v, ok in scan]
     config = {"seed": seed, "scan": args.scan}
-    return RunRecord("analytic", config, (estimate,), seed, details), lines, EXIT_OK
+    return RunRecord("analytic", config, (estimate,), details), lines, EXIT_OK
 
 
 def _cmd_search(args, seed: int):
@@ -281,7 +283,7 @@ def _cmd_search(args, seed: int):
         "outer_iters": config.outer_iters, "restarts": config.restarts,
         "seed": seed, "extrapolate": bool(args.extrapolate),
     }
-    record = RunRecord("search", config_dict, tuple(estimates), seed, details)
+    record = RunRecord("search", config_dict, tuple(estimates), details)
     return record, lines, exit_code
 
 
@@ -298,7 +300,7 @@ def _cmd_oracle(args, seed: int):
         f"(LP, {estimate.iterations_used} pivots)"
     ]
     config = {"settings": args.settings, "random": args.random, "seed": seed}
-    return RunRecord("oracle", config, (estimate,), seed, details), lines, EXIT_OK
+    return RunRecord("oracle", config, (estimate,), details), lines, EXIT_OK
 
 
 def _cmd_bell(args, seed: int):
@@ -311,11 +313,11 @@ def _cmd_bell(args, seed: int):
         "closure_norm": float(np.linalg.norm(closure)),
     }
     lines = [
-        f"threshold visibility: {result.threshold!r}",
+        f"threshold visibility: {result.estimate.value!r}",
         f"|a + c - b| at optimum: {details['closure_norm']:.6f}",
     ]
     config = {"seed": seed}
-    record = RunRecord("bell", config, (result.estimate(),), seed, details)
+    record = RunRecord("bell", config, (result.estimate,), details)
     return record, lines, EXIT_OK
 
 
@@ -330,11 +332,11 @@ def _cmd_chsh(args, seed: int):
         },
     }
     lines = [
-        f"threshold visibility: {result.threshold!r}",
+        f"threshold visibility: {result.estimate.value!r}",
         f"phi at optimum: {cfg.phi:.6f} rad",
     ]
     config = {"seed": seed}
-    record = RunRecord("chsh", config, (result.estimate(),), seed, details)
+    record = RunRecord("chsh", config, (result.estimate,), details)
     return record, lines, EXIT_OK
 
 
@@ -362,7 +364,7 @@ def _cmd_construct(args, seed: int):
         f"passed: {report.passed}",
     ]
     config = {"n": args.n, "m": args.m, "settings": args.settings, "seed": seed}
-    record = RunRecord("construct", config, (estimate,), seed, details)
+    record = RunRecord("construct", config, (estimate,), details)
     return record, lines, EXIT_OK if report.passed else EXIT_PARTIAL
 
 

@@ -6,9 +6,10 @@ spin along unit vectors a and b is
     P(m, m'; a, b) = (1 - m m' V a.b) / 4,
 
 where V in [0, 1] is the visibility (V = 1: ideal singlet, V = 0:
-uncorrelated noise).  This module provides that probability, its
-marginals, Legendre polynomials via the three-term recurrence, and a
-product Gauss-Legendre quadrature for averages over the unit sphere.
+uncorrelated noise); each side's marginal, the sum over the other's
+outcome, is 1/2.  This module provides that probability, Legendre
+polynomials via the three-term recurrence, and a product
+Gauss-Legendre quadrature for averages over the unit sphere.
 All types are immutable values and all functions are pure.
 """
 
@@ -104,14 +105,6 @@ def quantum_joint(m: int, m2: int, a, b, v: float) -> float:
     m2 = require_outcome(m2)
     v = require_visibility(v)
     return (1.0 - m * m2 * v * dot(checked_directions(a), checked_directions(b))) / 4.0
-
-
-def quantum_marginal(m: int, a, v: float) -> float:
-    """Single-side outcome probability; always 1/2 (the correlation cancels)."""
-    require_outcome(m)
-    require_visibility(v)
-    checked_directions(a)
-    return 0.5
 
 
 def legendre(j: int, x):

@@ -496,14 +496,15 @@ def inner_maximize(
     """Largest certified V over M-state local models at fixed settings.
 
     Climbs config.restarts restarts of the SVD construction and takes
-    the best (ties to the lowest restart index), then runs the
-    alternating-LP finish over general tables and weights on that
-    model, seeded from config.seed on its own stream.  Where the finish
-    is a fixed point (module docstring), the climb's model is returned
-    if validate_model passes it at 1e-9, else ConstructionFailureError
-    is raised.  The returned model passes validate_model at 1e-8, has
-    positive weight on all m_states states, and its visibility is the
-    estimate's value, which is never below the climb's.
+    the best (ties to the lowest restart index).  The climb's model must
+    pass validate_model at 1e-9, else ConstructionFailureError is
+    raised; then the alternating-LP finish over general tables and
+    weights runs on it, seeded from config.seed on its own stream,
+    except where the finish is a fixed point (module docstring).  The
+    finish keeps its own model only if that certifies too, so every
+    returned model passes validate_model at 1e-9, has positive weight
+    on all m_states states, and its visibility is the estimate's value,
+    which is never below the climb's.
 
     Restarts draw from independent streams and are scored together.  A
     restart whose best reaches V = 1 stops, and so does every restart
@@ -523,10 +524,8 @@ def inner_maximize(
         )
     climb_config = replace(config, inner_iters=_climb_iters(settings.n_settings, config))
     _, state, evals = _climb(settings, climb_config)
-    model = state_to_model(state, settings)
-    if square_table_steps(gram_rank(settings), config.m_states):
-        model = certify(model, settings)
-    else:
+    model = certify(state_to_model(state, settings), settings)
+    if not square_table_steps(gram_rank(settings), config.m_states):
         model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
     estimate = VisibilityEstimate(
         value=model.visibility,

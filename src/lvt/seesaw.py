@@ -107,9 +107,12 @@ def _span(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gram_rank(settings: SettingsEnsemble) -> int:
-    """Numerical rank of the settings Gram: min(N, 3) in general position."""
-    p = settings.svd.p
-    return int(np.sum(p > _RANK_TOL * p[0]))
+    """Rank of the settings Gram, min(N, 3) in general position.
+
+    settings.svd already reports every singular value below its cutoff
+    as an exact zero, so this counts the nonzero ones.
+    """
+    return int(np.count_nonzero(settings.svd.p))
 
 
 def square_table_steps(rank: int, m: int) -> bool:
@@ -342,19 +345,19 @@ def seesaw(
 def lp_rows_bound(n: int, m: int) -> int:
     """Most LP equality rows one seesaw call solves, at N settings and M states.
 
-    Each of up to _MAX_ROUNDS rounds solves two table steps, the weight
-    LP over the current and pooled states, and at most one fallback
-    weight LP over the current states.  Every table the finish holds has
-    zero marginals, T rho = 0, so its M columns have rank at most M - 1.
-    A table step's fixed side spans g, so for settings in general
-    position its rank lies between min(N, 3) and min(N, M - 1); when
-    min(N, 3) already reaches M - 1 (M = 4, N >= 3) every table step is
-    square and needs no LP, and otherwise an LP has N * (rank + 1) rows
-    with rank + 1 < M.  A weight LP has (rank_A + 1) * (rank_B + 1) rows,
-    each rank at most N and at most M - 1 plus the fresh columns
-    offered.
+    Defined only where the finish runs, not square_table_steps(min(N, 3), M);
+    sweep_work charges nothing elsewhere.  Each of up to _MAX_ROUNDS
+    rounds solves two table steps, the weight LP over the current and
+    pooled states, and at most one fallback weight LP over the current
+    states.  Every table the finish holds has zero marginals, T rho = 0,
+    so its M columns have rank at most M - 1.  A table step's fixed side
+    spans g, so for settings in general position its rank lies between
+    min(N, 3) and min(N, M - 1); a step that is not square (square
+    tables need no LP) has N * (rank + 1) rows with rank + 1 < M.  A
+    weight LP has (rank_A + 1) * (rank_B + 1) rows, each rank at most N
+    and at most M - 1 plus the fresh columns offered.
     """
-    table = 0 if square_table_steps(min(n, 3), m) else n * min(n + 1, m - 1)
+    table = n * min(n + 1, m - 1)
     pooled = (min(n, m - 1 + _POOL_FACTOR * m) + 1) ** 2
     current = (min(n, m - 1) + 1) ** 2
     return _MAX_ROUNDS * (2 * table + pooled + current)

@@ -182,12 +182,12 @@ def test_criterion_5_bell_threshold():
     elapsed = time.perf_counter() - started
     cfg = result.configuration
     closure = float(np.linalg.norm(cfg.a + cfg.c - cfg.b))
-    value_ok = abs(result.threshold - 2.0 / 3.0) < 1e-3
+    value_ok = abs(result.estimate.value - 2.0 / 3.0) < 1e-3
     closure_ok = closure < 0.05
     ok = value_ok and closure_ok and elapsed < 10.0
     assert report(
         5, ok,
-        f"threshold {result.threshold:.6f} vs 2/3 (tol 1e-3), closure "
+        f"threshold {result.estimate.value:.6f} vs 2/3 (tol 1e-3), closure "
         f"|a+c-b| {closure:.4f} (< 0.05), {elapsed:.2f}s (< 10s)",
     )
 
@@ -196,12 +196,12 @@ def test_criterion_6_chsh_threshold():
     started = time.perf_counter()
     result = chsh_threshold_numeric(seed=ACCEPTANCE_SEED)
     elapsed = time.perf_counter() - started
-    value_ok = abs(result.threshold - 1.0 / math.sqrt(2.0)) < 1e-3
+    value_ok = abs(result.estimate.value - 1.0 / math.sqrt(2.0)) < 1e-3
     phi_ok = abs(result.configuration.phi - math.pi / 2.0) < 0.02
     ok = value_ok and phi_ok and elapsed < 10.0
     assert report(
         6, ok,
-        f"threshold {result.threshold:.6f} vs 1/sqrt(2) (tol 1e-3), phi "
+        f"threshold {result.estimate.value:.6f} vs 1/sqrt(2) (tol 1e-3), phi "
         f"{result.configuration.phi:.4f} vs pi/2 (tol 0.02), "
         f"{elapsed:.2f}s (< 10s)",
     )

@@ -8,7 +8,6 @@ from lvt import (
     SettingsEnsemble,
     legendre,
     quantum_joint,
-    quantum_marginal,
     sphere_quadrature,
 )
 from lvt.construct import DiscreteLhvModel
@@ -104,13 +103,17 @@ def test_joint_validates_inputs():
     with pytest.raises(InvalidInputError):
         quantum_joint(1, 1, a, [1.0, 1.0, 0.0], 0.5)
     with pytest.raises(InvalidInputError):
-        quantum_marginal(1, [0.0, 0.0], 0.5)
+        quantum_joint(1, 1, [0.0, 0.0], a, 0.5)
 
 
 def test_marginal_is_half_everywhere():
+    # Summed over the other side's outcome, the correlation cancels.
     a = [1.0, 0.0, 0.0]
-    assert quantum_marginal(1, a, 0.9) == 0.5
-    assert quantum_marginal(-1, a, 0.0) == 0.5
+    b = [0.6, 0.8, 0.0]
+    for m in (1, -1):
+        for v in (0.0, 0.9):
+            assert abs(sum(quantum_joint(m, m2, a, b, v) for m2 in (1, -1)) - 0.5) < 1e-15
+            assert abs(sum(quantum_joint(m2, m, a, b, v) for m2 in (1, -1)) - 0.5) < 1e-15
 
 
 def test_legendre_known_value():

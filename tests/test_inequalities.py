@@ -1,21 +1,35 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import lvt
 from lvt import (
     BellConfiguration,
     ChshConfiguration,
     InvalidInputError,
-    aligned_chsh_configuration,
-    bell_lhs,
+    ThresholdResult,
     bell_threshold_numeric,
-    chsh_angle_lhs,
-    chsh_lhs,
     chsh_threshold_numeric,
 )
+from lvt.inequalities import _bell_expression, _chsh_expression
 
 from directions import random_direction
+
+
+def _unit(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def _aligned_chsh(b, b2):
+    """a along b2 - b and a2 along -(b + b2): the CHSH maximum for given b, b2."""
+    return ChshConfiguration(a=_unit(b2 - b), a2=_unit(-(b + b2)), b=b, b2=b2)
+
+
+def _chsh_angle_form(phi):
+    """The aligned CHSH expression at V = 1: 2 sqrt(2) sin(phi/2 + pi/4)."""
+    return 2.0 * math.sqrt(2.0) * math.sin(phi / 2.0 + math.pi / 4.0)
 
 
 def test_three_setting_closed_form_value():
@@ -25,39 +39,43 @@ def test_three_setting_closed_form_value():
         c=np.array([0.0, 0.0, 1.0]),
     )
     closure = cfg.a + cfg.c - cfg.b
-    expected = 0.5 * 0.5 * (3.0 - float(closure @ closure))
-    assert abs(bell_lhs(cfg, 0.5) - expected) < 1e-14
+    expected = 0.5 * (3.0 - float(closure @ closure))
+    assert abs(_bell_expression(cfg.a, cfg.b, cfg.c) - expected) < 1e-14
 
 
 def test_three_setting_maximum_at_closed_triangle():
     # vectors at 120 degrees make a + c itself unit, so b = a + c closes
-    # the triangle exactly and the expression peaks at 3V/2 = 1 at V=2/3
+    # the triangle exactly and the expression peaks at 3/2, so that
+    # (V/2)(3 - |a+c-b|^2) reaches the bound 1 at V = 2/3
     a = np.array([1.0, 0.0, 0.0])
     c = np.array([-0.5, math.sqrt(3.0) / 2.0, 0.0])
     b = a + c
     cfg = BellConfiguration(a=a, b=b, c=c)
-    assert abs(bell_lhs(cfg, 2.0 / 3.0) - 1.0) < 1e-12
+    assert abs(2.0 / 3.0 * _bell_expression(cfg.a, cfg.b, cfg.c) - 1.0) < 1e-12
 
 
 def test_three_setting_threshold():
     result = bell_threshold_numeric(seed=0)
-    assert abs(result.threshold - 2.0 / 3.0) < 1e-3
+    assert abs(result.estimate.value - 2.0 / 3.0) < 1e-3
     cfg = result.configuration
     closure = cfg.a + cfg.c - cfg.b
     assert float(np.linalg.norm(closure)) < 0.05
-    est = result.estimate()
-    assert est.provenance == "bell"
-    assert est.n_settings == 3
+    assert result.estimate.provenance == "bell"
+    assert result.estimate.n_settings == 3
 
 
 def test_numeric_maxima_match_the_lhs_at_full_visibility():
-    # The searches and bell_lhs / chsh_lhs share one expression; the
-    # reported configuration is the optimum renormalized, so the two
-    # agree to round-off.
+    # The searches maximize the left sides at V = 1; the reported
+    # configuration is the optimum renormalized, so the expression at it
+    # and the reported maximum agree to round-off.
     bell = bell_threshold_numeric(seed=0)
-    assert abs(bell_lhs(bell.configuration, 1.0) - bell.max_expression) < 1e-12
+    cfg = bell.configuration
+    assert abs(_bell_expression(cfg.a, cfg.b, cfg.c) - bell.max_expression) < 1e-12
+    assert bell.estimate.value == 1.0 / bell.max_expression
     chsh = chsh_threshold_numeric(seed=0)
-    assert abs(chsh_lhs(chsh.configuration, 1.0) - chsh.max_expression) < 1e-12
+    cfg = chsh.configuration
+    assert abs(_chsh_expression(cfg.a, cfg.a2, cfg.b, cfg.b2) - chsh.max_expression) < 1e-12
+    assert chsh.estimate.value == 2.0 / chsh.max_expression
 
 
 def test_four_setting_closed_form_value():
@@ -70,8 +88,8 @@ def test_four_setting_closed_form_value():
     )
     first = cfg.a + cfg.b2 - cfg.b
     second = cfg.a2 - cfg.b2 - cfg.b
-    expected = 0.45 * 0.5 * (float(first @ first) + float(second @ second) - 6.0)
-    assert abs(chsh_lhs(cfg, 0.45) - expected) < 1e-13
+    expected = 0.5 * (float(first @ first) + float(second @ second) - 6.0)
+    assert abs(_chsh_expression(cfg.a, cfg.a2, cfg.b, cfg.b2) - expected) < 1e-13
 
 
 def test_configurations_hold_checked_read_only_arrays():
@@ -92,12 +110,16 @@ def test_configurations_hold_checked_read_only_arrays():
 
 
 def test_four_setting_angle_form_peaks_at_right_angle():
+    # At phi = pi/2 the aligned expression is 2 sqrt(2), so V = 1/sqrt(2)
+    # meets the bound 2; at other angles it stays below.
+    b = np.array([0.0, 0.0, 1.0])
     v = 1.0 / math.sqrt(2.0)
-    assert abs(chsh_angle_lhs(math.pi / 2.0, v) - 2.0) < 1e-12
-    for phi in (0.3, 1.0, 2.0):
-        assert chsh_angle_lhs(phi, v) <= 2.0 + 1e-12
-    with pytest.raises(InvalidInputError):
-        chsh_angle_lhs(-0.1, 0.5)
+    for phi in (0.3, 1.0, math.pi / 2.0, 2.0):
+        cfg = _aligned_chsh(b, np.array([math.sin(phi), 0.0, math.cos(phi)]))
+        value = v * _chsh_expression(cfg.a, cfg.a2, cfg.b, cfg.b2)
+        assert value <= 2.0 + 1e-12
+        if phi == math.pi / 2.0:
+            assert abs(value - 2.0) < 1e-12
 
 
 def test_aligned_configuration_matches_angle_form():
@@ -108,27 +130,40 @@ def test_aligned_configuration_matches_angle_form():
         phi = math.acos(max(-1.0, min(1.0, float(b @ b2))))
         if phi < 0.1 or phi > math.pi - 0.1:
             continue
-        cfg = aligned_chsh_configuration(b, b2)
-        v = 0.6
-        assert abs(chsh_lhs(cfg, v) - chsh_angle_lhs(phi, v)) < 1e-12
-
-
-def test_aligned_configuration_rejects_parallel_directions():
-    b = [0.0, 0.0, 1.0]
-    with pytest.raises(InvalidInputError):
-        aligned_chsh_configuration(b, b)
+        cfg = _aligned_chsh(b, b2)
+        expression = _chsh_expression(cfg.a, cfg.a2, cfg.b, cfg.b2)
+        assert abs(expression - _chsh_angle_form(phi)) < 1e-12
 
 
 def test_four_setting_threshold():
-    result = chsh_threshold_numeric(seed=0)
-    assert abs(result.threshold - 1.0 / math.sqrt(2.0)) < 1e-3
-    assert abs(result.configuration.phi - math.pi / 2.0) < 0.02
-    est = result.estimate()
-    assert est.provenance == "chsh"
-    assert est.n_settings == 2
+    # At the unit-test and acceptance seeds the search finds the
+    # configuration the closed form assumes: a along b2 - b and a2
+    # along -(b + b2).
+    for seed in (0, 20260819):
+        result = chsh_threshold_numeric(seed=seed)
+        assert abs(result.estimate.value - 1.0 / math.sqrt(2.0)) < 1e-3
+        cfg = result.configuration
+        assert abs(cfg.phi - math.pi / 2.0) < 0.02
+        assert float(cfg.a @ _unit(cfg.b2 - cfg.b)) > 1.0 - 1e-9
+        assert float(cfg.a2 @ _unit(-(cfg.b + cfg.b2))) > 1.0 - 1e-9
+        assert result.estimate.provenance == "chsh"
+        assert result.estimate.n_settings == 2
 
 
 def test_thresholds_deterministic():
     one = bell_threshold_numeric(seed=5)
     two = bell_threshold_numeric(seed=5)
-    assert one.threshold == two.threshold
+    assert one.estimate == two.estimate
+
+
+def test_threshold_result_holds_only_its_estimate_configuration_and_maximum():
+    assert [f.name for f in fields(ThresholdResult)] == [
+        "estimate", "configuration", "max_expression",
+    ]
+
+
+def test_retired_helpers_are_gone():
+    for name in ("bell_lhs", "chsh_lhs", "chsh_angle_lhs", "aligned_chsh_configuration",
+                 "quantum_marginal"):
+        assert name not in lvt.__all__
+        assert not hasattr(lvt, name)

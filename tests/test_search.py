@@ -650,9 +650,13 @@ def test_finish_is_a_fixed_point_at_m4(n):
 
 
 def test_uncertified_climb_model_raises(monkeypatch):
+    # The climb's model is certified whether the finish is skipped
+    # (M = 4) or runs (M = 5), where a finish that fails to beat it
+    # would otherwise hand it back unchecked.
     failing = ValidationReport(1.0, 0.0, 0.0, 0.0, tol=1e-9)
     monkeypatch.setattr(seesaw_module, "validate_model", lambda model, settings, tol: failing)
     settings = SettingsEnsemble.random(3, np.random.default_rng(149))
-    cfg = SearchConfig(n_settings=3, inner_iters=100, restarts=1, seed=3)
-    with pytest.raises(ConstructionFailureError):
-        inner_maximize(settings, cfg)
+    for m in (4, 5):
+        cfg = SearchConfig(n_settings=3, m_states=m, inner_iters=100, restarts=1, seed=3)
+        with pytest.raises(ConstructionFailureError):
+            inner_maximize(settings, cfg)
