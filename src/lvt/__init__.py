@@ -35,7 +35,6 @@ from .construct import (
     GramSvd,
     SettingsEnsemble,
     ValidationReport,
-    gram_svd,
     validate_model,
 )
 from .core import (
@@ -58,20 +57,13 @@ from .inequalities import (
     bell_threshold_numeric,
     chsh_threshold_numeric,
 )
-from .oracle import (
-    MAX_ORACLE_SETTINGS,
-    max_visibility_for_gram,
-    max_visibility_lp,
-)
+from .oracle import max_visibility_lp
 from .search import (
-    PowerLawFit,
     SearchConfig,
     extrapolate,
-    fit_power_law,
     inner_maximize,
     n_sweep,
     outer_minimize,
-    perturb_settings,
     state_to_model,
 )
 
@@ -87,8 +79,6 @@ __all__ = [
     "InvalidModelError",
     "LegendreLhvModel",
     "LvtError",
-    "MAX_ORACLE_SETTINGS",
-    "PowerLawFit",
     "ResourceLimitError",
     "SearchConfig",
     "SettingsEnsemble",
@@ -99,16 +89,12 @@ __all__ = [
     "bell_threshold_numeric",
     "chsh_threshold_numeric",
     "extrapolate",
-    "fit_power_law",
-    "gram_svd",
     "inner_maximize",
     "legendre",
-    "max_visibility_for_gram",
     "max_visibility_lp",
     "model_for_visibility",
     "n_sweep",
     "outer_minimize",
-    "perturb_settings",
     "quantum_joint",
     "reconstruct_joint",
     "response",

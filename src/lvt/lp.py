@@ -3,6 +3,7 @@
 maximize_last solves one LP cold and returns the solution, duals and
 iteration count of linprog(method="highs") with presolve off bit for
 bit, without linprog's per-call option checks and input cleaning.
+Both pass HiGHS their callers' CSC arrays as built; HiGHS drops zeros.
 Master keeps one HiGHS instance across the rounds of a column
 generation, so each re-solve starts from the last optimal basis, and
 drops the columns that have stayed nonbasic, so its size follows what
@@ -40,14 +41,14 @@ def _options(primal: bool) -> "highs.HighsOptions":
 # simplex gained nothing from that basis.
 _COLD, _PRIMAL = _options(primal=False), _options(primal=True)
 
-# One solver per process serves every LP of at most _SHARED_NONZEROS
-# nonzeros: a new HiGHS instance per LP added about 120 us to each of
-# the see-saw's LPs, which take about 350 us on a shared one.  Each
+# One solver per process serves every LP of at most _SHARED_ENTRIES
+# stored entries: a new HiGHS instance per LP added about 120 us to each
+# of the see-saw's LPs, which take about 350 us on a shared one.  Each
 # solve clears the previous solution and basis and passes the options
 # again, so it starts cold, as a new instance would.  HiGHS keeps its
 # buffers after a clear, so a larger LP, such as a see-saw step at
 # N = 1000, gets an instance of its own, freed with it.
-_SHARED_NONZEROS = 10_000
+_SHARED_ENTRIES = 10_000
 _SOLVER = highs._Highs()
 
 # Master drops stale columns only once it holds more than _FLOOR_PER_ROW
@@ -69,25 +70,17 @@ def csc(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.searchsorted(cols, np.arange(dense.shape[1] + 1)), rows, dense.T[cols, rows]
 
 
-def _nonzeros(columns: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSC (indptr, indices, data) without its stored zeros; indptr and indices as int32."""
-    indptr, indices, data = columns
-    keep = data != 0.0
-    start = np.concatenate(([0], np.cumsum(keep)))[indptr]
-    return start.astype(np.int32), indices[keep].astype(np.int32), data[keep]
-
-
-def _pass(solver, nonzeros: tuple, b_eq: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-    """Hand solver maximize_last's LP, A as _nonzeros' (start, index, value)."""
-    start, index, value = nonzeros
+def _pass(solver, columns: tuple, b_eq: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+    """Hand solver maximize_last's LP, A as CSC (indptr, indices, data)."""
+    start, index, value = columns[0].astype(np.int32), columns[1].astype(np.int32), columns[2]
     count = lower.shape[0]
     status = solver.passModel(
         count, b_eq.shape[0], index.shape[0], highs.MatrixFormat.kColwise,
         highs.ObjSense.kMinimize, 0.0, np.append(np.zeros(count - 1), -1.0), lower, upper,
         b_eq, b_eq, start, index, value, np.zeros(count, np.int32),
     )
-    # HiGHS warns when it drops entries below 1e-9, and on an error keeps
-    # the previous model, so an error is the only refusal.
+    # HiGHS warns when it drops stored zeros and entries below 1e-9, and
+    # on an error keeps the previous model, so an error is the only refusal.
     if status == highs.HighsStatus.kError:
         raise LvtError("HiGHS refused the LP")
 
@@ -110,11 +103,10 @@ def maximize_last(
     Returns (x, row duals as linprog's eqlin.marginals, simplex iterations),
     or None unless HiGHS reports an optimum.
     """
-    nonzeros = _nonzeros(columns)
-    solver = _SOLVER if nonzeros[1].shape[0] <= _SHARED_NONZEROS else highs._Highs()
+    solver = _SOLVER if columns[1].shape[0] <= _SHARED_ENTRIES else highs._Highs()
     solver.clearSolver()
     solver.passOptions(_COLD)
-    _pass(solver, nonzeros, b_eq, lower, upper)
+    _pass(solver, columns, b_eq, lower, upper)
     return _run(solver)
 
 
@@ -145,7 +137,7 @@ class Master:
     ) -> None:
         self._solver = highs._Highs()
         self._solver.passOptions(_COLD)
-        _pass(self._solver, _nonzeros(columns), b_eq, lower, upper)
+        _pass(self._solver, columns, b_eq, lower, upper)
         self._objective = lower.shape[0] - 1
         self._failure = failure
         # Per column, the number of solves in a row it ended nonbasic.
@@ -155,11 +147,11 @@ class Master:
 
     def add(self, columns: tuple) -> None:
         """Append CSC columns (indptr, indices, data) over the master's rows."""
-        start, index, value = _nonzeros(columns)
-        count = start.shape[0] - 1
+        indptr, indices, data = columns
+        count = indptr.shape[0] - 1
         self._solver.addCols(
             count, np.zeros(count), np.zeros(count), np.full(count, np.inf),
-            index.shape[0], start[:-1], index, value,
+            indices.shape[0], indptr[:-1].astype(np.int32), indices.astype(np.int32), data,
         )
         self._nonbasic = np.append(self._nonbasic, np.zeros(count, np.int64))
 

@@ -502,9 +502,9 @@ def inner_maximize(
     weights runs on it, seeded from config.seed on its own stream,
     except where the finish is a fixed point (module docstring).  The
     finish keeps its own model only if that certifies too, so every
-    returned model passes validate_model at 1e-9, has positive weight
-    on all m_states states, and its visibility is the estimate's value,
-    which is never below the climb's.
+    returned model passes validate_model at 1e-9, holds at most
+    m_states states, each with positive weight, and its visibility is
+    the estimate's value, which is never below the climb's.
 
     Restarts draw from independent streams and are scored together.  A
     restart whose best reaches V = 1 stops, and so does every restart
@@ -589,6 +589,14 @@ def outer_minimize(config: SearchConfig) -> VisibilityEstimate:
     )
 
 
+def _settings_counts(n_values: Sequence[int]) -> list[int]:
+    """n_values as ints, each at least 1 and in ascending order, else InvalidInputError."""
+    cleaned = [require_int(n, "settings count", 1) for n in n_values]
+    if any(b < a for a, b in zip(cleaned, cleaned[1:])):
+        raise InvalidInputError(f"settings counts must be sorted ascending, got {cleaned}")
+    return cleaned
+
+
 def n_sweep(
     n_values: Sequence[int],
     config: SearchConfig,
@@ -599,11 +607,8 @@ def n_sweep(
     Failures at one N are logged and skipped; the sweep continues.  The
     returned estimates identify their N, so callers can detect gaps.
     """
-    cleaned = [require_int(n, "settings count", 1) for n in n_values]
-    if any(b < a for a, b in zip(cleaned, cleaned[1:])):
-        raise InvalidInputError(f"settings counts must be sorted ascending, got {cleaned}")
     results = []
-    for n in cleaned:
+    for n in _settings_counts(n_values):
         try:
             est = outer_minimize(replace(config, n_settings=n))
         except LvtError as exc:
@@ -625,19 +630,19 @@ def sweep_work(n_values: Sequence[int], config: SearchConfig) -> dict:
     M >= (N+1)^2, where inner_maximize caps the climb.  "climb table
     entries": those steps times the N * M table entries each one
     scores.  "finish LP rows": an upper bound on the equality rows of
-    every see-saw LP, at its round cap, where the finish runs (not at
-    M = 4, N >= 3).
+    every see-saw LP, at its round cap (lvt.seesaw.lp_rows_bound).
+    Refuses, as n_sweep does, counts that are not ascending ints >= 1.
     """
+    n_values = _settings_counts(n_values)
     m = config.m_states
     steps = [
         config.outer_iters * config.restarts * (_climb_iters(n, config) + 1) * _scored_share(m)
         for n in n_values
     ]
-    finished = [n for n in n_values if not square_table_steps(min(n, 3), m)]
     return {
         "climb steps": sum(steps),
         "climb table entries": sum(count * m * n for n, count in zip(n_values, steps)),
-        "finish LP rows": config.outer_iters * sum(lp_rows_bound(n, m) for n in finished),
+        "finish LP rows": config.outer_iters * sum(lp_rows_bound(n, m) for n in n_values),
     }
 
 

@@ -252,14 +252,15 @@ def certified_model(
     settings: SettingsEnsemble,
     m_states: int,
 ) -> Optional[DiscreteLhvModel]:
-    """Exact m_states model near an LP solution, or None if it fails to certify.
+    """Exact model of at most m_states states near an LP solution, or None.
 
-    Drops zero-weight states and renormalizes the rest, corrects the
-    correlations toward visibility * gram by alternating least squares,
-    removes the marginals, rescales both tables into [-1, 1] (lowering
-    the visibility by the same factor; overshoots of at most _CLIP_SLACK
-    are clipped instead), and splits the heaviest
-    surviving states until there are m_states of them.
+    Keeps only the states whose weight is above _DEAD_WEIGHT and
+    renormalizes them, corrects the correlations toward
+    visibility * gram by alternating least squares, removes the
+    marginals and rescales both tables into [-1, 1] (lowering the
+    visibility by the same factor; overshoots of at most _CLIP_SLACK are
+    clipped instead).  Returns None when no state lives, more than
+    m_states do, visibility <= 0 or the result fails to certify.
     """
     live = rho > _DEAD_WEIGHT
     if not live.any() or live.sum() > m_states or visibility <= 0.0:
@@ -278,12 +279,6 @@ def certified_model(
     a = np.clip(a / scale_a, -1.0, 1.0)
     b = np.clip(b / scale_b, -1.0, 1.0)
     visibility = min(1.0, visibility / (scale_a * scale_b))
-    while rho.shape[0] < m_states:
-        heaviest = int(np.argmax(rho))
-        rho = np.append(rho, rho[heaviest] / 2.0)
-        rho[heaviest] = rho[-1]
-        a = np.column_stack([a, a[:, heaviest]])
-        b = np.column_stack([b, b[:, heaviest]])
     model = DiscreteLhvModel(rho=rho, a_table=a, b_table=b, visibility=visibility)
     if not validate_model(model, settings, _CERTIFY_TOL).passed:
         return None
@@ -343,13 +338,13 @@ def seesaw(
 
 
 def lp_rows_bound(n: int, m: int) -> int:
-    """Most LP equality rows one seesaw call solves, at N settings and M states.
+    """Most LP equality rows one finish solves, at N settings and M states.
 
-    Defined only where the finish runs, not square_table_steps(min(N, 3), M);
-    sweep_work charges nothing elsewhere.  Each of up to _MAX_ROUNDS
-    rounds solves two table steps, the weight LP over the current and
-    pooled states, and at most one fallback weight LP over the current
-    states.  Every table the finish holds has zero marginals, T rho = 0,
+    0 where square_table_steps(min(N, 3), M) holds: lvt.search skips the
+    finish there for settings in general position.  Each of up to
+    _MAX_ROUNDS rounds solves two table steps, the weight LP over the
+    current and pooled states, and at most one fallback weight LP over
+    the current states.  Every table the finish holds has zero marginals, T rho = 0,
     so its M columns have rank at most M - 1.  A table step's fixed side
     spans g, so for settings in general position its rank lies between
     min(N, 3) and min(N, M - 1); a step that is not square (square
@@ -357,6 +352,8 @@ def lp_rows_bound(n: int, m: int) -> int:
     weight LP has (rank_A + 1) * (rank_B + 1) rows, each rank at most N
     and at most M - 1 plus the fresh columns offered.
     """
+    if square_table_steps(min(n, 3), m):
+        return 0
     table = n * min(n + 1, m - 1)
     pooled = (min(n, m - 1 + _POOL_FACTOR * m) + 1) ** 2
     current = (min(n, m - 1) + 1) ** 2

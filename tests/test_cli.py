@@ -128,6 +128,19 @@ def test_search_rejects_non_ascending_counts(capsys):
     assert "error:" in err
 
 
+def test_search_checks_counts_before_pricing_the_sweep(capsys, monkeypatch):
+    # Over the work limits, but the sweep would refuse the order: a usage
+    # error that does no work, not a call for --long.
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("lvt.cli.n_sweep", no_sweep)
+    code, _, err = run_cli(capsys, ["search", "--n", "100000,3"])
+    assert code == EXIT_USAGE
+    assert "settings counts must be sorted ascending" in err
+    assert "--long" not in err
+
+
 def test_search_long_gate_refuses_big_projection(capsys):
     code, _, err = run_cli(
         capsys, ["search", "--n", "1000", "--inner-iters", "200000"]

@@ -8,12 +8,11 @@ from lvt import (
     InvalidInputError,
     SettingsEnsemble,
     ValidationReport,
-    gram_svd,
     state_to_model,
     validate_model,
 )
 
-from lvt.construct import _CHECK_BLOCK_ENTRIES, _floor_normalized
+from lvt.construct import _CHECK_BLOCK_ENTRIES, _floor_normalized, gram_svd
 
 from directions import random_direction
 from models import span_model, span_state

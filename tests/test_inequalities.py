@@ -167,3 +167,14 @@ def test_retired_helpers_are_gone():
                  "quantum_marginal"):
         assert name not in lvt.__all__
         assert not hasattr(lvt, name)
+    # Names only the tests imported from the package stay in their
+    # modules, where the program calls them.
+    homes = {
+        "gram_svd": lvt.construct, "fit_power_law": lvt.search, "PowerLawFit": lvt.search,
+        "perturb_settings": lvt.search, "max_visibility_for_gram": lvt.oracle,
+        "MAX_ORACLE_SETTINGS": lvt.oracle,
+    }
+    for name, module in homes.items():
+        assert name not in lvt.__all__
+        assert not hasattr(lvt, name)
+        assert hasattr(module, name)

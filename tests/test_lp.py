@@ -288,20 +288,16 @@ def test_failed_oracle_master_raises(monkeypatch):
 
 
 def test_dropped_tiny_entry_solves_and_matches_linprog():
-    # maximize x2 over x0 + 1e-12 x1 = 0.5, x0 + x1 - x2 = 0, 0 <= x <= 1.
-    # HiGHS drops the 1e-12 entry and passModel returns kWarning.
-    columns = (np.array([0, 2, 4, 5]), np.array([0, 1, 0, 1, 1]),
-               np.array([1.0, 1.0, 1e-12, 1.0, -1.0]))
+    # maximize x2 over x0 + 1e-12 x1 + 0 x2 = 0.5, x0 + x1 - x2 = 0,
+    # 0 <= x <= 1, with the zero stored.  maximize_last hands HiGHS the
+    # arrays as built, and HiGHS drops both the stored zero and 1e-12.
+    columns = (np.array([0, 2, 4, 6]), np.array([0, 1, 0, 1, 0, 1]),
+               np.array([1.0, 1.0, 1e-12, 1.0, 0.0, -1.0]))
     b_eq = np.array([0.5, 0.0])
-    solver = lp_module.highs._Highs()
-    solver.passOptions(lp_module._COLD)
-    status = solver.passModel(
-        3, 2, 5, lp_module.highs.MatrixFormat.kColwise, lp_module.highs.ObjSense.kMinimize,
-        0.0, np.array([0.0, 0.0, -1.0]), np.zeros(3), np.ones(3), b_eq, b_eq,
-        *lp_module._nonzeros(columns), np.zeros(3, np.int32),
-    )
-    assert status == lp_module.highs.HighsStatus.kWarning
     assert_matches_linprog((columns, b_eq, np.zeros(3), np.ones(3)), {})
+    held = lp_module._SOLVER.getLp().a_matrix_
+    assert (held.start_, held.index_, held.value_) == ([0, 2, 3, 4], [0, 1, 1, 1],
+                                                       [1.0, 1.0, 1.0, -1.0])
 
 
 def test_models_are_passed_as_arrays(monkeypatch):

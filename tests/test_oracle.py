@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lvt import (
-    ResourceLimitError,
-    SettingsEnsemble,
-    max_visibility_for_gram,
-    max_visibility_lp,
-)
+from lvt import ResourceLimitError, SettingsEnsemble, max_visibility_lp
+from lvt.oracle import max_visibility_for_gram
 
 
 def _sign_rows(n_bits):

@@ -14,15 +14,14 @@ from lvt import (
     SettingsEnsemble,
     VisibilityEstimate,
     extrapolate,
-    fit_power_law,
     inner_maximize,
     max_visibility_lp,
     n_sweep,
     outer_minimize,
-    perturb_settings,
     state_to_model,
     validate_model,
 )
+from lvt.search import fit_power_law, perturb_settings
 from lvt.construct import ValidationReport, _floor_normalized, project_out, unit_rows
 from lvt.core import checked_directions, seeded_rng
 
@@ -618,6 +617,34 @@ def test_inner_maximize_skips_the_finish_where_it_is_a_fixed_point(monkeypatch):
         assert finished == ([n] if runs_finish else [])
         assert model.visibility == est.value
         assert validate_model(model, settings, 1e-8).passed
+
+
+def test_returned_models_hold_only_live_states(monkeypatch):
+    # Criterion 7's shapes.  The finish keeps only the states its weights
+    # use, so a model it returns in place of the climb's holds at most
+    # (N+1)^2 states, the most a basic optimum of its weight LP weighs.
+    replaced = []
+    real_seesaw = search_module.seesaw
+
+    def recording_seesaw(model, settings, rng):
+        finished = real_seesaw(model, settings, rng)
+        if finished is not model:
+            replaced.append((settings.n_settings, finished))
+        return finished
+
+    monkeypatch.setattr(search_module, "seesaw", recording_seesaw)
+    rng = np.random.default_rng(151)
+    for n in (2, 3, 4):
+        settings = SettingsEnsemble.random(n, rng)
+        for m in (5, 2 * (n * n + 1)):
+            cfg = SearchConfig(n_settings=n, m_states=m, inner_iters=300, restarts=2, seed=n)
+            model, est = inner_maximize(settings, cfg)
+            assert model.m_states <= m
+            assert np.all(model.rho > seesaw_module._DEAD_WEIGHT)
+            assert validate_model(model, settings, 1e-9).passed
+    assert {n for n, _ in replaced} == {2, 3, 4}
+    for n, finished in replaced:
+        assert finished.m_states <= (n + 1) ** 2
 
 
 def test_m4_finish_still_runs_on_a_rank_two_gram():

@@ -15,12 +15,16 @@ from models import span_model
 
 
 def test_finish_is_certified_and_never_worse():
-    settings, start = span_model(4, 34, 7)
+    # The finish keeps only the states its weights use: a basic optimum
+    # of the weight LP gives weight to at most (N+1)^2 of them.
+    n = 4
+    settings, start = span_model(n, 34, 7)
     finished = seesaw(start, settings, np.random.default_rng(1))
+    assert finished is not start
     assert finished.visibility >= start.visibility
     assert finished.visibility <= max_visibility_lp(settings).value + 1e-9
-    assert finished.m_states == 34
-    assert np.all(finished.rho > 0.0)
+    assert finished.m_states <= (n + 1) ** 2
+    assert np.all(finished.rho > seesaw_module._DEAD_WEIGHT)
     assert validate_model(finished, settings, 1e-8).passed
 
 
@@ -160,12 +164,17 @@ def test_full_visibility_model_is_returned_unchanged():
 
 
 def test_certified_model_rejects_what_it_cannot_certify():
+    # A dead fifth state is dropped, and the four live ones are not
+    # padded out to m_states.
     settings, start = span_model(3, 4, 9)
-    a, b, rho = np.array(start.a_table), np.array(start.b_table), np.array(start.rho)
+    a, b = np.array(start.a_table), np.array(start.b_table)
+    a, b = np.column_stack([a, a[:, :1]]), np.column_stack([b, b[:, :1]])
+    rho = np.append(start.rho, seesaw_module._DEAD_WEIGHT)
     assert certified_model(a, b, rho, 0.0, settings, 4) is None
     assert certified_model(a, b, rho, start.visibility, settings, 3) is None
     rebuilt = certified_model(a, b, rho, start.visibility, settings, 6)
-    assert rebuilt.m_states == 6
+    assert rebuilt.m_states == 4
+    assert rebuilt.a_table.shape == rebuilt.b_table.shape == (3, 4)
     assert abs(rebuilt.visibility - start.visibility) < 1e-9
 
 
