@@ -1,11 +1,11 @@
 """Command-line surface: seeded, reproducible runs with CSV/JSON output.
 
-Commands map one-to-one onto the library: `analytic` (exact threshold
-plus positivity evidence), `search` (N-sweep of the max-min Monte-Carlo
-search, optional extrapolation), `oracle` (exact LP value for fixed
-settings), `bell` / `chsh` (numeric inequality thresholds), and
-`construct` (one seeded state through lvt.search.state_to_model, then
-validation).
+Commands map one-to-one onto the library: `analytic` (1/3, the exact
+maximum of the paper's symmetric Legendre family, plus positivity
+evidence), `search` (N-sweep of the max-min Monte-Carlo search,
+optional extrapolation), `oracle` (exact LP value for fixed settings),
+`bell` / `chsh` (numeric inequality thresholds), and `construct` (one
+seeded state through lvt.search.state_to_model, then validation).
 
 Machine-readable outputs are byte-identical across repeated runs with
 the same seed; wall_time_s is therefore emitted as a 0.0 placeholder in
@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", parents=[common],
-                       help="exact threshold with positivity evidence")
+                       help="the symmetric Legendre family's exact maximum, 1/3, "
+                            "with positivity evidence")
     p.add_argument("--scan", default=None, help="visibility scan start:stop:step")
     p.set_defaults(run=_cmd_analytic)
 

@@ -54,8 +54,10 @@ _SOLVER = highs._Highs()
 # Master drops stale columns only once it holds more than _FLOOR_PER_ROW
 # columns per row, and then those nonbasic in each of the last
 # _STALE_SOLVES solves.  On the oracle at N = 12 (random instances, 2-core
-# machine) this cut the largest master from 12 200-17 300 columns to
-# 5 977-6 145 and peak RSS from 360-520 MB to 187 MB, in half the time.
+# machine), when its first master held 2^N strategy columns and every
+# priced strategy joined, this cut the largest master from 12 200-17 300
+# columns to 5 977-6 145 and peak RSS from 360-520 MB to 187 MB, in half
+# the time.
 # At age 1 the master shrank to its basis and V crept up about 1e-3 a
 # round: no solve at N = 10 or 12 converged in 200 rounds.  Age 3 peaked
 # at 218-220 MB.  Without the floor, 20 solves at N = 4 and 5 took up to

@@ -16,17 +16,30 @@ generality, leaving 2^(2N-1) strategies.
 
 The LP is solved by column generation with exact pricing (Brierley,
 Navascues & Vertesi, arXiv:1609.05011) on SciPy's HiGHS.  A restricted
-master LP holds some of the strategies: at the start every gauge-fixed
-a paired with b = +-sign(g^T a), whose +- pairs average to zero so
-V = 0 is feasible.  Its duals Y (one per correlation entry) and mu (the
+master LP holds some of the strategies, each next to its partner with b
+negated; the pairs average to zero, so V = 0 is feasible.  It starts
+from two sets of pairs:
+
+- the N^2 + 1 gauge-fixed a with the largest ||g^T a||_1 (ties to the
+  lower index), each with b = sign(g^T a); at N <= 6, where
+  N^2 + 1 >= 2^(N-1), that is every gauge-fixed a;
+- the N^2 strategies u_i u_k^T, where u_0 = (1, ..., 1) and
+  u_j = u_0 - 2 e_j.  These span every N x N matrix, so V > 0 is
+  feasible from the first solve.  The first set alone spanned only 41
+  to 135 of the N^2 dimensions on random settings at N = 8-16: V then
+  stayed 0 for up to 28 rounds while the master grew, and N = 16 peaked
+  at 211-268 MB instead of about 150 MB.
+
+The master's duals Y (one per correlation entry) and mu (the
 normalisation row) price every strategy: for a given a the best b is
-sign(Y^T a), with reduced gain ||Y^T a||_1 + mu.  Each strategy with a
-positive gain joins the master, which is solved again; once none is
-left the master's optimum is the optimum over all 2^(2N-1) strategies.
-Pricing scans only the 2^(N-1) gauge-fixed a, so no array ever holds
-every strategy column.  The master is one lvt.lp.Master for the whole
-solve: each round appends its priced columns, and primal simplex
-restarts from the last optimal basis.
+sign(Y^T a), with reduced gain ||Y^T a||_1 + mu.  Each round the at most
+N^2 + 1 strategies with the largest positive gain join the master, in
+index order, and it is solved again; once none is left the master's
+optimum is the optimum over all 2^(2N-1) strategies.  Pricing scans all
+2^(N-1) gauge-fixed a every round, so no array ever holds every strategy
+column.  The master is one lvt.lp.Master for the whole solve: each round
+appends its priced columns, and primal simplex restarts from the last
+optimal basis.
 
 The master also forgets.  After a round that strictly raised V, once it
 holds more than 4(N^2 + 1) columns, it deletes every strategy column
@@ -36,8 +49,9 @@ feasible and V never falls, and a deleted strategy that prices in again
 simply rejoins.  Only rounds that raise V delete, and V at each such
 round is the optimum over one of finitely many column sets, so the
 generation cannot cycle; the last round still prices all 2^(2N-1)
-strategies, so the answer stays exact.  At N = 12 the master peaks at
-about 6 100 columns instead of 12 000-17 000.
+strategies, so the answer stays exact.  The first master has 4N^2 + 3
+columns, so while every round raises V the master never holds more than
+5(N^2 + 1).
 """
 
 from __future__ import annotations
@@ -49,13 +63,16 @@ from .errors import InvalidInputError, LvtError, ResourceLimitError
 from .estimate import VisibilityEstimate
 from .lp import Master, csc
 
-# Hard cap on settings per side; at N = 12 a solve took 6.6-11 s and
-# peaked at 187 MB on a 2-core machine.
-MAX_ORACLE_SETTINGS = 12
+# Hard cap on settings per side.  On a 2-core machine three random
+# instances took 52-57 s and peaked at 149 MB at N = 16; at N = 17 one
+# took 139 s.
+MAX_ORACLE_SETTINGS = 16
 
 # A strategy joins the master when its reduced gain exceeds this.
 _PRICE_TOL = 1e-9
-# Random instances up to N = 12 converged in at most 14 rounds.
+# A solve gives up after this many rounds that leave V unchanged; rounds
+# that raise V are finitely many.  Random instances up to N = 16 took up
+# to 419 rounds, and every one raised V.
 _MAX_ROUNDS = 200
 
 
@@ -68,6 +85,11 @@ def _strategy_columns(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Master columns of the strategies a[s] b[s]^T: correlation rows, then normalisation."""
     products = (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], n * n)
     return np.hstack([products, np.ones((a.shape[0], 1))]).T
+
+
+def _largest(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the count largest values in index order; ties go to the lower index."""
+    return np.sort(np.argsort(-values, kind="stable")[:count])
 
 
 def _check_settings_count(n: int) -> None:
@@ -97,8 +119,15 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
     # Every gauge-fixed a (a[0] = +1); bit j of row i's index flips a[j + 1].
     bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
     a_rows = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
-    b_start = _signs(a_rows @ g)
-    first = _strategy_columns(n, np.vstack([a_rows, a_rows]), np.vstack([b_start, -b_start]))
+    batch = n * n + 1
+    start = a_rows @ g
+    top = _largest(np.abs(start).sum(axis=1), batch)
+    # u_0 = (1, ..., 1) and u_j = u_0 - 2 e_j: their products u_i u_k^T span every N x N matrix.
+    spanning = 1.0 - 2.0 * np.eye(n)
+    spanning[0] = 1.0
+    a_start = np.vstack([a_rows[top], np.repeat(spanning, n, axis=0)])
+    b_start = np.vstack([_signs(start[top]), np.tile(spanning, (n, 1))])
+    first = _strategy_columns(n, np.vstack([a_start, a_start]), np.vstack([b_start, -b_start]))
     v_column = np.append(-g.ravel(), 0.0)
     b_eq = np.zeros(n * n + 1)
     b_eq[-1] = 1.0
@@ -108,16 +137,25 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
         csc(np.column_stack([first, v_column])), b_eq, np.zeros(first.shape[1] + 1), upper,
         failure="oracle master LP failed",
     )
-    iterations = 0
-    for _ in range(_MAX_ROUNDS):
+    iterations, unchanged, best = 0, 0, -np.inf
+    while True:
         value, duals, nit = master.solve()
         iterations += nit
         scores = a_rows @ duals[: n * n].reshape(n, n)
-        priced = np.abs(scores).sum(axis=1) + duals[-1] > _PRICE_TOL
-        if not priced.any():
+        gains = np.abs(scores).sum(axis=1) + duals[-1]
+        priced = np.flatnonzero(gains > _PRICE_TOL)
+        if priced.size == 0:
             return min(1.0, max(0.0, value)), iterations
-        master.add(csc(_strategy_columns(n, a_rows[priced], _signs(scores[priced]))))
-    raise LvtError(f"oracle column generation did not converge in {_MAX_ROUNDS} rounds")
+        if value <= best:
+            unchanged += 1
+            if unchanged > _MAX_ROUNDS:
+                raise LvtError(
+                    f"oracle column generation did not converge: more than {_MAX_ROUNDS} "
+                    "rounds left V unchanged"
+                )
+        best = max(best, value)
+        chosen = priced[_largest(gains[priced], batch)]
+        master.add(csc(_strategy_columns(n, a_rows[chosen], _signs(scores[chosen]))))
 
 
 def max_visibility_lp(settings: SettingsEnsemble) -> VisibilityEstimate:

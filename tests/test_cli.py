@@ -23,6 +23,7 @@ from lvt.cli import (
     write_csv,
 )
 from lvt.errors import InvalidInputError
+from lvt.oracle import MAX_ORACLE_SETTINGS
 from lvt.search import SearchConfig, sweep_work
 
 TINY_SEARCH = ["--inner-iters", "200", "--outer-iters", "2", "--restarts", "1"]
@@ -236,7 +237,7 @@ def test_oracle_n9_runs_without_long_flag(capsys):
 
 
 def test_oracle_hard_cap_is_resource_error(capsys):
-    code, _, err = run_cli(capsys, ["oracle", "--random", "13"])
+    code, _, err = run_cli(capsys, ["oracle", "--random", str(MAX_ORACLE_SETTINGS + 1)])
     assert code == EXIT_RESOURCE
 
 

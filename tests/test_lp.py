@@ -225,12 +225,37 @@ def test_master_drops_only_columns_nonbasic_in_the_last_two_solves(monkeypatch):
     assert abs(value - full_column_lp(gram, *every_strategy(4))) <= 1e-9
 
 
-def test_oracle_master_recovers_from_a_failed_dual_run():
-    # The first, cold dual simplex run on this master ends in status
-    # Unknown after 166 iterations; the primal retry from scratch solves it.
-    gram = SettingsEnsemble.random(8, np.random.default_rng([95, 8, 0])).gram
+def test_oracle_master_recovers_from_a_failed_dual_run(monkeypatch):
+    # A master holding every gauge-fixed a with +-sign(g^T a) on this
+    # instance: its cold dual simplex run ends without an optimum, and
+    # the primal retry from scratch solves it.
+    n = 8
+    gram = SettingsEnsemble.random(n, np.random.default_rng([95, n, 0])).gram
+    a_rows, _ = every_strategy(n)
+    b_rows = np.where(a_rows @ gram >= 0.0, 1.0, -1.0)
+    strategies = oracle_module._strategy_columns(
+        n, np.vstack([a_rows, a_rows]), np.vstack([b_rows, -b_rows])
+    )
+    matrix = np.column_stack([strategies, np.append(-gram.ravel(), 0.0)])
+    b_eq = np.append(np.zeros(n * n), 1.0)
+    upper = np.append(np.full(strategies.shape[1], np.inf), 1.0)
+    runs = []
+    real = lp_module._run
+    monkeypatch.setattr(lp_module, "_run", lambda solver: runs.append(real(solver)) or runs[-1])
+    master = lp_module.Master(
+        lp_module.csc(matrix), b_eq, np.zeros(upper.shape[0]), upper, failure="master failed",
+    )
+    value = master.solve()[0]
+    assert len(runs) == 2 and runs[0] is None and runs[1] is not None
+    expected = linprog(
+        np.append(np.zeros(strategies.shape[1]), -1.0), A_eq=matrix, b_eq=b_eq,
+        bounds=np.column_stack([np.zeros(upper.shape[0]), upper]), method="highs",
+    )
+    assert expected.status == 0
+    assert abs(value - expected.x[-1]) <= 1e-9
+
     value, _ = max_visibility_for_gram(gram)
-    assert abs(value - full_column_lp(gram, *every_strategy(8))) <= 1e-9
+    assert abs(value - full_column_lp(gram, *every_strategy(n))) <= 1e-9
 
 
 def test_csc_matches_scipy_sparse():

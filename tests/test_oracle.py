@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
-from lvt import ResourceLimitError, SettingsEnsemble, max_visibility_lp
-from lvt.oracle import max_visibility_for_gram
+from lvt import LvtError, ResourceLimitError, SettingsEnsemble, max_visibility_lp
+from lvt import oracle as oracle_module
+from lvt.oracle import MAX_ORACLE_SETTINGS, max_visibility_for_gram
 
 
 def _sign_rows(n_bits):
@@ -97,7 +99,7 @@ def test_estimate_metadata():
 
 def test_too_many_settings_rejected():
     rng = np.random.default_rng(71)
-    settings = SettingsEnsemble.random(13, rng)
+    settings = SettingsEnsemble.random(MAX_ORACLE_SETTINGS + 1, rng)
     with pytest.raises(ResourceLimitError):
         max_visibility_lp(settings)
 
@@ -116,3 +118,74 @@ def test_optimum_dominates_any_mixture_of_sign_strategies():
         scale = float(np.max(np.abs(mixture)))
         value, _ = max_visibility_for_gram(mixture / scale)
         assert value >= scale - 1e-9
+
+
+def test_repeated_solves_are_identical():
+    gram = SettingsEnsemble.random(9, np.random.default_rng([83, 9])).gram
+    assert max_visibility_for_gram(gram) == max_visibility_for_gram(gram)
+
+
+def _recorded_masters(monkeypatch, gram):
+    """The column arrays each lp.Master was built from, and every value it solved to."""
+    built, values = [], []
+    real = oracle_module.Master
+
+    class Recording(real):
+        def __init__(self, columns, *args, **kwargs):
+            built.append(columns)
+            super().__init__(columns, *args, **kwargs)
+
+        def solve(self):
+            solved = super().solve()
+            values.append(solved[0])
+            return solved
+
+    monkeypatch.setattr(oracle_module, "Master", Recording)
+    max_visibility_for_gram(gram)
+    return built, values
+
+
+# Up to N = 6, N^2 + 1 >= 2^(N-1): the first master holds every
+# gauge-fixed a; above, only the N^2 + 1 with the largest ||g^T a||_1.
+# Then come the N^2 spanning products u_i u_k^T, and V's column.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 9])
+def test_first_master_holds_the_largest_strategies(monkeypatch, n):
+    gram = SettingsEnsemble.random(n, np.random.default_rng([89, n])).gram
+    built, _ = _recorded_masters(monkeypatch, gram)
+    indptr, indices, data = built[0]
+    shape = (n * n + 1, indptr.shape[0] - 1)
+    dense = sparse.csc_matrix((data, indices, indptr), shape=shape).toarray()
+    assert np.array_equal(dense[:, -1], np.append(-gram.ravel(), 0.0))
+
+    a_rows = np.hstack([np.ones((1 << (n - 1), 1)), _sign_rows(n - 1)])
+    scores = a_rows @ gram
+    kept = np.sort(np.argsort(-np.abs(scores).sum(axis=1))[: n * n + 1])
+    if n <= 6:
+        assert kept.shape[0] == a_rows.shape[0]
+    spanning = np.vstack([np.ones(n), 1.0 - 2.0 * np.eye(n)[1:]])
+    a = np.vstack([a_rows[kept], np.repeat(spanning, n, axis=0)])
+    b = np.vstack([np.where(scores[kept] >= 0.0, 1.0, -1.0), np.tile(spanning, (n, 1))])
+    expected = np.einsum("sj,sk->jks", np.vstack([a, a]), np.vstack([b, -b])).reshape(n * n, -1)
+    assert np.linalg.matrix_rank(expected) == n * n
+    assert np.array_equal(dense[:-1, :-1], expected)
+    assert np.array_equal(dense[-1, :-1], np.ones(expected.shape[1]))
+
+
+def test_round_limit_counts_rounds_that_leave_v_unchanged(monkeypatch):
+    # Six icosahedron axes on both sides: a degenerate LP, on which some
+    # rounds add columns without raising V.
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    axes = np.array([[0.0, 1.0, phi], [1.0, phi, 0.0], [phi, 0.0, 1.0],
+                     [0.0, 1.0, -phi], [1.0, -phi, 0.0], [-phi, 0.0, 1.0]])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    gram = axes @ axes.T
+    with monkeypatch.context() as patch:
+        _, values = _recorded_masters(patch, gram)
+    # The last solve prices nothing in and ends the generation.
+    unchanged = sum(v <= max(values[:t]) for t, v in enumerate(values[:-1]) if t > 0)
+    assert 0 < unchanged < len(values) - 1
+    monkeypatch.setattr(oracle_module, "_MAX_ROUNDS", unchanged)
+    max_visibility_for_gram(gram)
+    monkeypatch.setattr(oracle_module, "_MAX_ROUNDS", unchanged - 1)
+    with pytest.raises(LvtError, match=f"more than {unchanged - 1} rounds left V unchanged"):
+        max_visibility_for_gram(gram)
