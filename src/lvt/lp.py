@@ -61,9 +61,16 @@ _SOLVER = highs._Highs()
 # At age 1 the master shrank to its basis and V crept up about 1e-3 a
 # round: no solve at N = 10 or 12 converged in 200 rounds.  Age 3 peaked
 # at 218-220 MB.  Without the floor, 20 solves at N = 4 and 5 took up to
-# 11 and 12 rounds instead of 8 and 11, and no less time.
+# 11 and 12 rounds instead of 8 and 11, and no less time.  The oracle's
+# first master now holds 6N^2 - 2N + 3 columns in general position, above
+# the floor from N = 2 on, so its master can delete after its second solve.
 _FLOOR_PER_ROW = 4
 _STALE_SOLVES = 2
+
+# A solve raised the objective when it beat the last solve that did by
+# more than this.  HiGHS holds feasibility to 1e-10, and a master whose
+# optimum was 0 for several rounds read -6.3e-12, 9.0e-14 and 3.0e-12.
+RISE_TOL = 1e-9
 
 
 def csc(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,13 +128,15 @@ class Master:
     scratch by primal simplex; if that fails too, solve() raises
     LvtError with the given failure message and HiGHS's model status.
 
-    After a solve that strictly raised the objective, once the master
+    A solve rose (self.rose) when its objective beat that of the last
+    solve that rose by more than RISE_TOL; smaller moves are round-off.
+    After a solve that rose, once the master
     holds more than _FLOOR_PER_ROW columns per row, solve() deletes
     every column that was nonbasic in each of the last _STALE_SOLVES
     solves, except the objective's own column, whose index it tracks.
     A nonbasic column is zero at the optimum, so the optimum stays
     feasible and the basis stays valid: the objective never falls.
-    Deletion follows only strict rises, and the objective at each is the
+    Deletion follows only rises, and the objective at each is the
     optimum over one of finitely many column sets, so only finitely
     many solves delete and a column generation on this master cannot
     cycle; between them the master only grows.
@@ -145,7 +154,9 @@ class Master:
         # Per column, the number of solves in a row it ended nonbasic.
         self._nonbasic = np.zeros(lower.shape[0], np.int64)
         self._floor = _FLOOR_PER_ROW * b_eq.shape[0]
-        self._value = -np.inf
+        # The objective at the last solve that rose.
+        self._risen = -np.inf
+        self.rose = False
 
     def add(self, columns: tuple) -> None:
         """Append CSC columns (indptr, indices, data) over the master's rows."""
@@ -168,8 +179,10 @@ class Master:
             status = self._solver.modelStatusToString(self._solver.getModelStatus())
             raise LvtError(f"{self._failure}: HiGHS model status {status}")
         value = float(solved[0][self._objective])
-        self._drop_stale(raised=value > self._value)
-        self._value = value
+        self.rose = value > self._risen + RISE_TOL
+        if self.rose:
+            self._risen = value
+        self._drop_stale(raised=self.rose)
         return value, solved[1], solved[2]
 
     def _drop_stale(self, raised: bool) -> None:

@@ -20,15 +20,22 @@ master LP holds some of the strategies, each next to its partner with b
 negated; the pairs average to zero, so V = 0 is feasible.  It starts
 from two sets of pairs:
 
-- the N^2 + 1 gauge-fixed a with the largest ||g^T a||_1 (ties to the
-  lower index), each with b = sign(g^T a); at N <= 6, where
-  N^2 + 1 >= 2^(N-1), that is every gauge-fixed a;
+- the hemisphere strategies of the settings.  g's top three singular
+  triplets factor it as g ~ X Y^T, with X = U sqrt(S) and Y = V sqrt(S)
+  zero-padded to three columns, and a hidden direction lam gives the
+  strategy (sign(X lam), sign(Y lam)).  One lam per cell of the 2N
+  planes normal to the rows of X and Y gives every such strategy: each
+  cell has a vertex +-(n_i x n_j) for some pair of normals, and the four
+  cells around it take every sign at i and j.  In general position that
+  is N(2N - 1) + 1 gauge-fixed pairs (121 at N = 8), and they alone span
+  every N x N matrix.  They took about a third of the pivots of the
+  N^2 + 1 gauge-fixed a with the largest ||g^T a||_1, the start they
+  replaced, at N = 8-12.  Any +-1 pair is a strategy, so round-off or a
+  degenerate arrangement (rank below 3, repeated or coplanar settings)
+  can cost speed but never exactness;
 - the N^2 strategies u_i u_k^T, where u_0 = (1, ..., 1) and
   u_j = u_0 - 2 e_j.  These span every N x N matrix, so V > 0 is
-  feasible from the first solve.  The first set alone spanned only 41
-  to 135 of the N^2 dimensions on random settings at N = 8-16: V then
-  stayed 0 for up to 28 rounds while the master grew, and N = 16 peaked
-  at 211-268 MB instead of about 150 MB.
+  feasible from the first solve whatever the arrangement.
 
 The master's duals Y (one per correlation entry) and mu (the
 normalisation row) price every strategy: for a given a the best b is
@@ -41,16 +48,18 @@ column.  The master is one lvt.lp.Master for the whole solve: each round
 appends its priced columns, and primal simplex restarts from the last
 optimal basis.
 
-The master also forgets.  After a round that strictly raised V, once it
-holds more than 4(N^2 + 1) columns, it deletes every strategy column
-that was nonbasic in each of the last two rounds; V's own column always
-stays.  Those columns carry zero weight, so the current mixture stays
-feasible and V never falls, and a deleted strategy that prices in again
-simply rejoins.  Only rounds that raise V delete, and V at each such
-round is the optimum over one of finitely many column sets, so the
-generation cannot cycle; the last round still prices all 2^(2N-1)
-strategies, so the answer stays exact.  The first master has 4N^2 + 3
-columns, so while every round raises V the master never holds more than
+The master also forgets.  After a round that raised V by more than
+lvt.lp.RISE_TOL, once it holds more than 4(N^2 + 1) columns, it deletes
+every strategy column that was nonbasic in each of the last two rounds;
+V's own column always stays.  Those columns carry zero weight, so the
+current mixture stays feasible and V never falls, and a deleted strategy
+that prices in again simply rejoins.  Only rounds that raise V delete,
+and V at each such round is the optimum over one of finitely many column
+sets, so the generation cannot cycle; the last round still prices all
+2^(2N-1) strategies, so the answer stays exact.  Rounds that leave V
+within that tolerance count as unchanged.  In general position the first
+master has 6N^2 - 2N + 3 columns and the second solve one batch more,
+7N^2 - 2N + 4; while every round raises V, no later solve sees more than
 5(N^2 + 1).
 """
 
@@ -64,15 +73,15 @@ from .estimate import VisibilityEstimate
 from .lp import Master, csc
 
 # Hard cap on settings per side.  On a 2-core machine three random
-# instances took 52-57 s and peaked at 149 MB at N = 16; at N = 17 one
-# took 139 s.
-MAX_ORACLE_SETTINGS = 16
+# instances took 75-89 s and peaked at 225 MB at N = 18; N = 19 would
+# double the pricing arrays.
+MAX_ORACLE_SETTINGS = 18
 
 # A strategy joins the master when its reduced gain exceeds this.
 _PRICE_TOL = 1e-9
 # A solve gives up after this many rounds that leave V unchanged; rounds
-# that raise V are finitely many.  Random instances up to N = 16 took up
-# to 419 rounds, and every one raised V.
+# that raise V are finitely many.  Random instances up to N = 18 took up
+# to 299 rounds, and every one raised V by more than lvt.lp.RISE_TOL.
 _MAX_ROUNDS = 200
 
 
@@ -90,6 +99,29 @@ def _strategy_columns(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _largest(values: np.ndarray, count: int) -> np.ndarray:
     """Indices of the count largest values in index order; ties go to the lower index."""
     return np.sort(np.argsort(-values, kind="stable")[:count])
+
+
+def _hemisphere_strategies(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sign(X lam), sign(Y lam)) for lam in each cell of the planes normal to the rows of X and Y.
+
+    X = U sqrt(S) and Y = V sqrt(S) come from g's top three singular
+    triplets, zero-padded to three columns.  Every cell has a vertex
+    +-(n_i x n_j) for some pair of the 2N normals, and the four cells
+    around it take every sign at i and j; a[0] = +1 fixes the gauge.
+    """
+    n = g.shape[0]
+    u, s, vt = np.linalg.svd(g)
+    root = np.sqrt(s[:3])
+    normals = np.zeros((2 * n, 3))
+    normals[:n, : root.shape[0]] = u[:, :3] * root
+    normals[n:, : root.shape[0]] = vt[:3].T * root
+    i, j = np.triu_indices(2 * n, 1)
+    signs = np.repeat(_signs(np.cross(normals[i], normals[j]) @ normals.T), 4, axis=0)
+    rows = np.arange(signs.shape[0])
+    signs[rows, np.repeat(i, 4)] = np.tile([1.0, 1.0, -1.0, -1.0], i.shape[0])
+    signs[rows, np.repeat(j, 4)] = np.tile([1.0, -1.0, 1.0, -1.0], i.shape[0])
+    cells = np.unique(signs * signs[:, :1], axis=0)
+    return cells[:, :n], cells[:, n:]
 
 
 def _check_settings_count(n: int) -> None:
@@ -117,16 +149,16 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
     _check_settings_count(n)
 
     # Every gauge-fixed a (a[0] = +1); bit j of row i's index flips a[j + 1].
-    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
-    a_rows = np.hstack([np.ones((bits.shape[0], 1)), 1.0 - 2.0 * bits])
+    # No bit array outlives this: at N = 18 one would hold 18 MB for the whole solve.
+    a_rows = np.ones((1 << (n - 1), n))
+    a_rows[:, 1:] -= 2.0 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1)
     batch = n * n + 1
-    start = a_rows @ g
-    top = _largest(np.abs(start).sum(axis=1), batch)
+    a_cells, b_cells = _hemisphere_strategies(g)
     # u_0 = (1, ..., 1) and u_j = u_0 - 2 e_j: their products u_i u_k^T span every N x N matrix.
     spanning = 1.0 - 2.0 * np.eye(n)
     spanning[0] = 1.0
-    a_start = np.vstack([a_rows[top], np.repeat(spanning, n, axis=0)])
-    b_start = np.vstack([_signs(start[top]), np.tile(spanning, (n, 1))])
+    a_start = np.vstack([a_cells, np.repeat(spanning, n, axis=0)])
+    b_start = np.vstack([b_cells, np.tile(spanning, (n, 1))])
     first = _strategy_columns(n, np.vstack([a_start, a_start]), np.vstack([b_start, -b_start]))
     v_column = np.append(-g.ravel(), 0.0)
     b_eq = np.zeros(n * n + 1)
@@ -137,7 +169,7 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
         csc(np.column_stack([first, v_column])), b_eq, np.zeros(first.shape[1] + 1), upper,
         failure="oracle master LP failed",
     )
-    iterations, unchanged, best = 0, 0, -np.inf
+    iterations, unchanged = 0, 0
     while True:
         value, duals, nit = master.solve()
         iterations += nit
@@ -146,14 +178,13 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
         priced = np.flatnonzero(gains > _PRICE_TOL)
         if priced.size == 0:
             return min(1.0, max(0.0, value)), iterations
-        if value <= best:
+        if not master.rose:
             unchanged += 1
             if unchanged > _MAX_ROUNDS:
                 raise LvtError(
                     f"oracle column generation did not converge: more than {_MAX_ROUNDS} "
                     "rounds left V unchanged"
                 )
-        best = max(best, value)
         chosen = priced[_largest(gains[priced], batch)]
         master.add(csc(_strategy_columns(n, a_rows[chosen], _signs(scores[chosen]))))
 

@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from lvt import LvtError, ResourceLimitError, SettingsEnsemble, max_visibility_lp
+from lvt import lp as lp_module
 from lvt import oracle as oracle_module
 from lvt.oracle import MAX_ORACLE_SETTINGS, max_visibility_for_gram
 
@@ -145,30 +146,161 @@ def _recorded_masters(monkeypatch, gram):
     return built, values
 
 
-# Up to N = 6, N^2 + 1 >= 2^(N-1): the first master holds every
-# gauge-fixed a; above, only the N^2 + 1 with the largest ||g^T a||_1.
-# Then come the N^2 spanning products u_i u_k^T, and V's column.
+def _first_master_pairs(columns, n):
+    """The gauge-fixed (a, b) of each strategy column of a first master, and the dense master."""
+    indptr, indices, data = columns
+    shape = (n * n + 1, indptr.shape[0] - 1)
+    dense = sparse.csc_matrix((data, indices, indptr), shape=shape).toarray()
+    products = dense[:-1, :-1].T.reshape(-1, n, n)
+    # a[0] = +1, so b is the product's first row and a its first column times b[0].
+    b = products[:, 0, :]
+    a = products[:, :, 0] * b[:, :1]
+    return a, b, dense
+
+
+def _hemisphere_normals(gram):
+    """Rows of X = U sqrt(S) and Y = V sqrt(S) from the Gram's top three singular triplets."""
+    u, s, vt = np.linalg.svd(gram)
+    x, y = u[:, :3] * np.sqrt(s[:3]), vt[:3].T * np.sqrt(s[:3])
+    return np.vstack([x, y])
+
+
+def _realised(normals, signs):
+    """Whether some lam has signs[k] (normals[k] . lam) >= 1 for every k: an open cell."""
+    result = linprog(
+        np.zeros(normals.shape[1]), A_ub=-signs[:, None] * normals, b_ub=-np.ones(signs.shape[0]),
+        bounds=[(None, None)] * normals.shape[1], method="highs",
+    )
+    return result.status == 0
+
+
+# The first master holds one (a, b) = (sign(X lam), sign(Y lam)) per
+# cell of the 2N planes normal to the rows of X and Y, then the N^2
+# spanning products u_i u_k^T, each beside its partner with b negated,
+# and V's column.  At N <= 2 the Gram has rank N < 3 and the cells are
+# enumerated from degenerate vertices, which give every gauge-fixed pair.
+# The test keeps its name, though it now checks the hemisphere start.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 9])
 def test_first_master_holds_the_largest_strategies(monkeypatch, n):
     gram = SettingsEnsemble.random(n, np.random.default_rng([89, n])).gram
     built, _ = _recorded_masters(monkeypatch, gram)
-    indptr, indices, data = built[0]
-    shape = (n * n + 1, indptr.shape[0] - 1)
-    dense = sparse.csc_matrix((data, indices, indptr), shape=shape).toarray()
+    a, b, dense = _first_master_pairs(built[0], n)
     assert np.array_equal(dense[:, -1], np.append(-gram.ravel(), 0.0))
+    assert np.array_equal(dense[-1, :-1], np.ones(dense.shape[1] - 1))
+    half = a.shape[0] // 2
+    assert np.array_equal(a[half:], a[:half]) and np.array_equal(b[half:], -b[:half])
+    assert np.linalg.matrix_rank(dense[:-1, :-1]) == n * n
 
-    a_rows = np.hstack([np.ones((1 << (n - 1), 1)), _sign_rows(n - 1)])
-    scores = a_rows @ gram
-    kept = np.sort(np.argsort(-np.abs(scores).sum(axis=1))[: n * n + 1])
-    if n <= 6:
-        assert kept.shape[0] == a_rows.shape[0]
+    cells = half - n * n
     spanning = np.vstack([np.ones(n), 1.0 - 2.0 * np.eye(n)[1:]])
-    a = np.vstack([a_rows[kept], np.repeat(spanning, n, axis=0)])
-    b = np.vstack([np.where(scores[kept] >= 0.0, 1.0, -1.0), np.tile(spanning, (n, 1))])
-    expected = np.einsum("sj,sk->jks", np.vstack([a, a]), np.vstack([b, -b])).reshape(n * n, -1)
-    assert np.linalg.matrix_rank(expected) == n * n
-    assert np.array_equal(dense[:-1, :-1], expected)
-    assert np.array_equal(dense[-1, :-1], np.ones(expected.shape[1]))
+    assert np.array_equal(a[cells:half], np.repeat(spanning, n, axis=0))
+    assert np.array_equal(b[cells:half], np.tile(spanning, (n, 1)))
+
+    pairs = np.hstack([a[:cells], b[:cells]])
+    found = {tuple(row) for row in pairs}
+    assert len(found) == cells
+    if n <= 2:
+        assert cells == 1 << (2 * n - 1)
+        return
+    assert cells == n * (2 * n - 1) + 1
+    # In general position the cells alone span every N x N matrix.
+    assert np.linalg.matrix_rank(dense[:-1, :cells]) == n * n
+    normals = _hemisphere_normals(gram)
+    assert all(_realised(normals, row) for row in pairs)
+    lam = np.random.default_rng([97, n]).standard_normal((100_000, 3))
+    seen = np.where(lam @ normals.T >= 0.0, 1.0, -1.0)
+    seen *= seen[:, :1]
+    assert {tuple(row) for row in seen} <= found
+
+
+def _icosahedron_gram():
+    """The Gram of the six icosahedron axes, the same on both sides."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    axes = np.array([[0.0, 1.0, phi], [1.0, phi, 0.0], [phi, 0.0, 1.0],
+                     [0.0, 1.0, -phi], [1.0, -phi, 0.0], [-phi, 0.0, 1.0]])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    return axes @ axes.T
+
+
+def _coplanar(n, rng):
+    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+
+
+# Degenerate cell arrangements: zero or repeated normals, and planes
+# that all meet in one line.  The start only costs speed there, so the
+# answer must still be the full LP's.
+@pytest.mark.parametrize("case", [
+    "one pair", "rank 2", "same directions", "coplanar", "icosahedron", "identity", "zero",
+])
+def test_degenerate_settings_match_the_full_lp(case):
+    rng = np.random.default_rng(101)
+    if case == "one pair":
+        gram = SettingsEnsemble.random(1, rng).gram
+    elif case == "rank 2":
+        gram = SettingsEnsemble.random(2, rng).gram
+        assert np.linalg.matrix_rank(gram) == 2
+    elif case == "same directions":
+        a = SettingsEnsemble.random(5, rng).a_matrix
+        gram = SettingsEnsemble(a, a).gram
+    elif case == "coplanar":
+        gram = SettingsEnsemble(_coplanar(5, rng), _coplanar(5, rng)).gram
+        assert np.linalg.matrix_rank(gram) == 2
+    elif case == "icosahedron":
+        gram = _icosahedron_gram()
+    elif case == "identity":
+        gram = np.eye(3)
+    else:
+        gram = np.zeros((4, 4))
+    value, _ = max_visibility_for_gram(gram)
+    assert abs(value - _full_lp_value(gram)) < 1e-9
+    if case in ("one pair", "identity", "zero"):
+        assert abs(value - 1.0) < 1e-9
+
+
+def test_round_off_reads_are_not_rises(monkeypatch):
+    # HiGHS reads V to about 1e-12 at a degenerate optimum.  Reads that
+    # creep up by 1e-12 a solve must not count as rises: the master
+    # deletes after the same solves, and the round limit counts the
+    # same rounds as leaving V unchanged.
+    gram = _icosahedron_gram()
+    solves = []
+    real = oracle_module.Master
+
+    class Recording(real):
+        def solve(self):
+            solved = super().solve()
+            solves[-1].append((solved[0], self.rose, self._solver.getNumCol()))
+            return solved
+
+    monkeypatch.setattr(oracle_module, "Master", Recording)
+    solves.append([])
+    exact, _ = max_visibility_for_gram(gram)
+    reads = []
+    run = lp_module._run
+
+    def creeping(solver):
+        # Only V's entry of x is read; shift every entry alike.
+        solved = run(solver)
+        reads.append(solved)
+        return None if solved is None else (solved[0] + 1e-12 * len(reads), *solved[1:])
+
+    monkeypatch.setattr(lp_module, "_run", creeping)
+    solves.append([])
+    value, _ = max_visibility_for_gram(gram)
+    assert abs(value - exact) < 1e-10
+    base, crept = solves
+    assert [s[1:] for s in crept] == [s[1:] for s in base]
+    values = [v for v, _, _ in base]
+    unchanged = sum(v <= max(values[:t]) for t, v in enumerate(values[:-1]) if t > 0)
+    assert unchanged > 0
+    assert all(crept[t][0] > max(w for w, _, _ in crept[:t])
+               for t in range(1, len(crept)))
+    monkeypatch.setattr(oracle_module, "_MAX_ROUNDS", unchanged)
+    max_visibility_for_gram(gram)
+    monkeypatch.setattr(oracle_module, "_MAX_ROUNDS", unchanged - 1)
+    with pytest.raises(LvtError, match=f"more than {unchanged - 1} rounds left V unchanged"):
+        max_visibility_for_gram(gram)
 
 
 def test_round_limit_counts_rounds_that_leave_v_unchanged(monkeypatch):
