@@ -59,6 +59,10 @@ _TAG_CLI_WEIGHTS = 7
 # second on a 2-core machine.
 MAX_SCAN_POINTS = 10_001
 
+# The most table entries N * M `construct` builds: at N = 1, M = 10^6 it
+# peaked at 318 MB, and larger N cost less per entry, so all stay < 400 MB.
+MAX_CONSTRUCT_ENTRIES = 10**6
+
 # A sweep asking for more of any count of lvt.search.sweep_work (scored
 # climb steps, scored climb table entries, finish LP rows) than its limit
 # here refuses to start without --long.  Each limit is about a minute of
@@ -340,10 +344,20 @@ def _cmd_chsh(args, seed: int):
     return record, lines, EXIT_OK
 
 
+def _refuse_large_construct(n: int, m: int) -> None:
+    if n * m > MAX_CONSTRUCT_ENTRIES:
+        raise ResourceLimitError(f"construct asks for {n * m:.3g} table entries (N = {n}, "
+                                 f"M = {m}), over the limit of {MAX_CONSTRUCT_ENTRIES:.3g}")
+
+
 def _cmd_construct(args, seed: int):
-    settings = _settings(args, seed, args.n, "--n")
     if args.m < 4:
         raise InvalidInputError(f"--m must be >= 4, got {args.m}")
+    # Random settings are priced before any is drawn, a settings file once read.
+    if args.settings is None and args.n is not None:
+        _refuse_large_construct(args.n, args.m)
+    settings = _settings(args, seed, args.n, "--n")
+    _refuse_large_construct(settings.n_settings, args.m)
     frame = seeded_rng(seed, _TAG_CLI_FRAME).standard_normal(6 * args.m)
     weights = seeded_rng(seed, _TAG_CLI_WEIGHTS).uniform(0.0, 1.0, args.m)
     model = state_to_model(np.concatenate([frame, weights]), settings)
@@ -390,9 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[common], help="Monte-Carlo max-min sweep over N")
     p.add_argument("--n", required=True, help="comma-separated settings counts, ascending")
-    p.add_argument("--m", type=int, default=4, help="hidden states (default 4)")
+    p.add_argument("--m", type=int, default=4,
+                   help="hidden states (default 4): M < (N+1)^2 searches the paper's 4-state "
+                        "construction, M >= (N+1)^2 the local polytope with up to M states")
     p.add_argument("--inner-iters", type=int, default=4000,
-                   help="climb steps per restart (default 4000); 1 where M >= (N+1)^2")
+                   help="climb steps per restart (default 4000) where M < (N+1)^2; 1 elsewhere")
     p.add_argument("--outer-iters", type=int, default=24)
     p.add_argument("--restarts", type=int, default=2)
     p.add_argument("--extrapolate", action="store_true",

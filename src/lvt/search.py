@@ -1,42 +1,35 @@
 """Max-min Monte-Carlo search for the threshold visibility.
 
-Inner loop: at fixed settings, find the largest visibility an M-state
-local model certifies.  Outer loop: move the settings around to
-minimize that maximum.  Sweeping the settings count N and
+Inner loop: at fixed settings, find the largest visibility a local
+model of the searched class certifies.  Outer loop: move the settings
+around to minimize that maximum.  Sweeping the settings count N and
 extrapolating N -> infinity estimates the threshold below which every
 ensemble stays locally representable.
 
-The inner search maximizes over all M-state models with zero
-marginals and tables bounded by 1, in two stages.  A hill climb over
-the frame parameters (q, t, rho) of the SVD construction comes first;
-its tables have columns in the rank-3 span of the Gram matrix.  An
-alternating-LP finish (lvt.seesaw) then polishes the climb's model
-over general tables and weights, which lifts the rank-3 ceiling for
-N > 3 and closes the climb's slow last stretch at any N.  At M = 4 with
-a rank-3 Gram (N >= 3 in general position) the finish is a fixed point,
-so it is skipped: each table step is square, with the climb's table its
-one solution, the weight LP over the 4 states has 16 equality rows for
-4 weights, and a pooled weight step is kept only if it fits in 4 states.
+It searches one of two named classes, picked from (N, M).  Any
+M < (N+1)^2 is the paper's 4-state SVD construction: a hill climb over
+its frame parameters (q, t, rho), whose tables have columns in the
+rank-3 span of the Gram matrix, then an alternating-LP finish
+(lvt.seesaw) over general 4-state tables and weights, which runs only
+where the Gram's rank is below 3: at rank 3 (N >= 3 in general
+position) it is a fixed point (lvt.seesaw.square_table_steps).
+M >= (N+1)^2 is the full local polytope: the climb takes one step per
+restart and the finish, capped at M states, carries the search.  A
+basic optimum of its weight LP has at most (N+1)^2 states (its equality
+rows), so it always fits, and each weight step works as column
+generation over the fresh random sign states it is offered (the see-saw
+method of Brierley, Navascues and Vertesi, arXiv:1609.05011).
 
-Once M >= (N+1)^2 the climb is capped at one step per restart, and the
-finish alone carries the search.  A basic optimum of the finish's
-weight LP has at most (N+1)^2 states (its equality rows), so there it
-always fits in M states, and each weight step works as column
-generation over the fresh random sign states it is offered (the
-see-saw method of Brierley, Navascues and Vertesi, arXiv:1609.05011).
-Below (N+1)^2 the finish needs the climb's model: at M = 5 and N = 3
-or 4, started from a one-step climb, it ends 0.36-0.59 lower.
-
-The climb state is a flat vector of 7M reals: the 6 raw frame vectors
-plus raw weights.  One stacked kernel, _state_tables, turns states
-into raw tables: it re-projects the constraints (floor simplex for
-rho, sqrt(rho)-orthogonality, biorthogonality via the closed-form
-adjugate of a 3x3 system).  The climb reads the certified visibility
-off its tables, and state_to_model builds the reported model from
-them.  The relative scale of q versus t is balanced in closed form:
-scaling q by s multiplies the A table by s and the B table by 1/s, so
-the best achievable value at a given state is 1/(max|A'| max|B'|),
-capped at 1.
+A state is a flat vector of 7M reals (M = 4 in the climb): the 6 raw
+frame vectors plus raw weights.  One stacked kernel, _state_tables,
+turns states into raw tables: it re-projects the constraints (floor
+simplex for rho, sqrt(rho)-orthogonality, biorthogonality via the
+closed-form adjugate of a 3x3 system).  The climb reads the certified
+visibility off its tables, and state_to_model builds the reported model
+from them.  The relative scale of q versus t is balanced in closed
+form: scaling q by s multiplies the A table by s and the B table by
+1/s, so the best achievable value at a given state is
+1/(max|A'| max|B'|), capped at 1.
 
 Each restart draws its moves in bulk, 256 at a time, into a ring that
 holds two such batches, indexed by step.  Most moves are rejected, so
@@ -47,10 +40,10 @@ one-move-per-step climb would.  Restarts advance independently.  Once a
 restart's best reaches V = 1, it and every higher-index restart stop,
 since none of them can then win, and steps past that one do not count.
 
-At M = 4 the t half of the state is inert.  After projection, q and t
+The t half of a 4-state state is inert.  After projection, q and t
 both lie in sqrt(rho)'s 3-dimensional complement, so biorthogonalizing
 makes t the dual basis of q there, t = (q q^T)^-1 q, whatever the t half
-holds.  A move in the t half (3M of the 7M coordinates) then changes
+holds.  A move in the t half (12 of the 28 coordinates) then changes
 the tables only by round-off, so the climb counts it as a rejected step
 without scoring it.  It still counts in the step budget and in
 iterations_used, as any rejection does.
@@ -116,19 +109,21 @@ _FACTOR_CAP = 8.0
 _SHARPNESS_BASE = 50.0
 _SHARPNESS_DOUBLINGS = 4
 
+# The climb searches the paper's construction: states of M = 4, of
+# which it scores the 4 moves in 7 outside the inert t half.
+_CLIMB_STATES = 4
+_SCORED_SHARE = 4.0 / 7.0
+
 # A block of moves costs a fixed overhead (about 50 us of Python and
 # NumPy dispatch per kernel call) plus a term per table entry scored,
 # and the moves a block scores after its first acceptance are scored
 # again in the next block.  So a block should end about where the first
-# acceptance is expected: about one move in ten is accepted at M = 4-5,
-# but one in four or more at M = 34, so blocks shrink as M grows (at
-# most _BLOCK_STATE_MOVES moves * M).  Past _BLOCK_ENTRIES table entries
-# scored per restart (moves * N * M * _scored_share), the per-entry term
-# outweighs the overhead a longer block saves.  Measured on a 2-core
-# machine, this picks the fastest power of two to within noise at M = 4
-# from N = 2 to 2000, at M = 5 to 1000 and at M = 34 to 400.
+# acceptance is expected, about one move in ten.  Past _BLOCK_ENTRIES
+# table entries scored per restart (moves * N * 4 * _SCORED_SHARE), the
+# per-entry term outweighs the overhead a longer block saves.  Measured
+# on a 2-core machine, this picks the fastest power of two to within
+# noise from N = 2 to 2000.
 _BLOCK_MOVES = 16
-_BLOCK_STATE_MOVES = 160
 _BLOCK_ENTRIES = 20000
 
 # Each restart draws its moves this many at a time: one bulk call per
@@ -158,11 +153,10 @@ _ALPHA_GRID = (0.25, 0.5, 0.75, 1.0)
 class SearchConfig:
     """Budgets for the max-min search.
 
-    inner_iters is each restart's climb budget wherever
-    m_states < (n_settings+1)^2; at larger m_states the climb takes one
-    step per restart and the see-saw finish does the rest (module
-    docstring).  The climb's step scale, patience and weight floor are
-    fixed: _STEP_SCALE, _PATIENCE and DEFAULT_RHO_MIN.
+    m_states picks the searched class (module docstring), and
+    inner_iters is each restart's climb budget in the 4-state class.
+    The climb's step scale, patience and weight floor are fixed:
+    _STEP_SCALE, _PATIENCE and DEFAULT_RHO_MIN.
     """
 
     n_settings: int
@@ -308,16 +302,11 @@ def state_to_model(x: np.ndarray, settings: SettingsEnsemble) -> DiscreteLhvMode
     )
 
 
-def _scored_share(m: int) -> float:
-    """Share of moves the climb scores: 4 in 7 at M = 4, whose t-half moves are inert."""
-    return 4.0 / 7.0 if m == 4 else 1.0
-
-
-def _block_moves(n: int, m: int) -> int:
+def _block_moves(n: int) -> int:
     """Moves a restart scores per block: a power of two, at most _BLOCK_MOVES."""
-    entries = n * m * _scored_share(m)
+    entries = n * _CLIMB_STATES * _SCORED_SHARE
     moves = _BLOCK_MOVES
-    while moves > 1 and (moves * m > _BLOCK_STATE_MOVES or moves * entries > _BLOCK_ENTRIES):
+    while moves > 1 and moves * entries > _BLOCK_ENTRIES:
         moves //= 2
     return moves
 
@@ -343,16 +332,14 @@ def _climb(settings: SettingsEnsemble, config: SearchConfig) -> tuple[float, np.
     for each other, so a higher-index restart may already have climbed
     past that step; its steps past it do not count.
 
-    At M = 4 a move in the t half (coordinates 3M to 6M) is inert, so it
-    is left out of the kernel call and taken as a rejection, as exact
-    arithmetic would take it: it counts as a step and toward the
-    patience, ends the run of consecutive acceptances, and leaves the
-    state, the score and the best as they are.  Returns the winner's
-    (best value, best state), the highest value with ties to the lowest
-    restart index, and the steps counted.
+    Climbed states have M = 4 whatever config.m_states says.  A t-half
+    move (coordinates 12 to 24) is inert, so it is left out of the kernel
+    call and taken as the rejection exact arithmetic would make it.  Returns
+    the winner's (best value, best state), the highest value with ties
+    to the lowest restart index, and the steps counted.
     """
     w_ab = _scaled_factors(settings)
-    m = config.m_states
+    m = _CLIMB_STATES
     dim = 7 * m
     count = config.restarts
     rngs = [seeded_rng(config.seed, _TAG_RESTART, r) for r in range(count)]
@@ -379,7 +366,7 @@ def _climb(settings: SettingsEnsemble, config: SearchConfig) -> tuple[float, np.
     # Per-restart counters are lists, cheaper than arrays to read singly.
     score, best_v = score.tolist(), best_v.tolist()
     best_x = x.copy()
-    block = _block_moves(settings.n_settings, m)
+    block = _block_moves(settings.n_settings)
     factor = [1.0] * count
     rejections = [0] * count
     streak = [0] * count
@@ -437,22 +424,17 @@ def _climb(settings: SettingsEnsemble, config: SearchConfig) -> tuple[float, np.
         move = ring_index[owner, column]
         candidate = x[owner]
         candidate[rows, move] += scale * ring_step[owner, column]
-        if m > 4:
-            tables, solved = _state_tables(candidate, w_ab, m)
-            new_score, new_v = _scores(tables, beta[owner])
-            improved = solved & (new_score > current)
-        else:
-            # t-half moves leave the tables unchanged: rejections, unscored.
-            scored = (move < 3 * m) | (move >= 6 * m)
-            total = rows.shape[0]
-            improved = np.zeros(total, dtype=bool)
-            new_score = np.empty(total)
-            new_v = np.empty(total)
-            if scored.any():
-                tables, solved = _state_tables(candidate[scored], w_ab, m)
-                scores, values = _scores(tables, beta[owner[scored]])
-                new_score[scored], new_v[scored] = scores, values
-                improved[scored] = solved & (scores > current[scored])
+        # t-half moves leave the tables unchanged: rejections, unscored.
+        scored = (move < 3 * m) | (move >= 6 * m)
+        total = rows.shape[0]
+        improved = np.zeros(total, dtype=bool)
+        new_score = np.empty(total)
+        new_v = np.empty(total)
+        if scored.any():
+            tables, solved = _state_tables(candidate[scored], w_ab, m)
+            scores, values = _scores(tables, beta[owner[scored]])
+            new_score[scored], new_v[scored] = scores, values
+            improved[scored] = solved & (scores > current[scored])
         hits = improved.tolist()
         start = 0
         for r, size in zip(climbing, sizes):
@@ -485,48 +467,49 @@ def _climb(settings: SettingsEnsemble, config: SearchConfig) -> tuple[float, np.
     return best_v[winner], best_x[winner], evals
 
 
-def _climb_iters(n: int, config: SearchConfig) -> int:
-    """Climb steps per restart: 1 where M >= (N+1)^2, else config.inner_iters."""
-    return 1 if config.m_states >= (n + 1) ** 2 else config.inner_iters
+def _search_class(n: int, config: SearchConfig) -> tuple[int, int]:
+    """(climb steps per restart, finish state cap) of the class (N, M) falls in."""
+    if config.m_states >= (n + 1) ** 2:
+        return 1, config.m_states
+    return config.inner_iters, _CLIMB_STATES
 
 
 def inner_maximize(
     settings: SettingsEnsemble, config: SearchConfig
 ) -> tuple[DiscreteLhvModel, VisibilityEstimate]:
-    """Largest certified V over M-state local models at fixed settings.
+    """Largest certified V over the searched class at fixed settings.
 
-    Climbs config.restarts restarts of the SVD construction and takes
-    the best (ties to the lowest restart index).  The climb's model must
-    pass validate_model at 1e-9, else ConstructionFailureError is
-    raised; then the alternating-LP finish over general tables and
-    weights runs on it, seeded from config.seed on its own stream,
-    except where the finish is a fixed point (module docstring).  The
-    finish keeps its own model only if that certifies too, so every
-    returned model passes validate_model at 1e-9, holds at most
-    m_states states, each with positive weight, and its visibility is
-    the estimate's value, which is never below the climb's.
+    Climbs config.restarts restarts of the 4-state SVD construction and
+    takes the best (ties to the lowest restart index).  The climb's
+    model must pass validate_model at 1e-9, else
+    ConstructionFailureError is raised; then the alternating-LP finish
+    over general tables and weights runs on it, seeded from config.seed
+    on its own stream, except where the finish is a fixed point (module
+    docstring).  The finish keeps its own model only if that certifies
+    too, so every returned model passes validate_model at 1e-9, holds at
+    most m_states states, each with positive weight, and its visibility
+    is the estimate's value, which is never below the climb's.
 
     Restarts draw from independent streams and are scored together.  A
     restart whose best reaches V = 1 stops, and so does every restart
     with a higher index; the winner is the same as if they climbed on,
     but estimate.iterations_used counts only the steps up to that step.
 
-    When m_states >= (n_settings+1)^2, every basic optimum of the
-    finish's weight LP fits in m_states states, so the finish reaches
-    the optimum by itself.  Each restart then draws its feasible start
-    and climbs one step, whatever config.inner_iters says, and
-    iterations_used is about 2 per restart.
+    Any m_states < (n_settings+1)^2 gives the m_states = 4 result, bit
+    for bit.  From (n_settings+1)^2 on, each restart climbs one step,
+    whatever config.inner_iters says, so iterations_used is about 2 per
+    restart, and the finish does the rest.
     """
     if settings.n_settings != config.n_settings:
         raise InvalidInputError(
             f"settings have {settings.n_settings} directions per side, "
             f"config expects {config.n_settings}"
         )
-    climb_config = replace(config, inner_iters=_climb_iters(settings.n_settings, config))
-    _, state, evals = _climb(settings, climb_config)
+    climb_iters, cap = _search_class(settings.n_settings, config)
+    _, state, evals = _climb(settings, replace(config, inner_iters=climb_iters))
     model = certify(state_to_model(state, settings), settings)
-    if not square_table_steps(gram_rank(settings), config.m_states):
-        model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH))
+    if not square_table_steps(gram_rank(settings), cap):
+        model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH), cap)
     estimate = VisibilityEstimate(
         value=model.visibility,
         std_error=0.0,
@@ -624,26 +607,22 @@ def sweep_work(n_values: Sequence[int], config: SearchConfig) -> dict:
     """Count the work n_sweep(n_values, config) asks for, without running it.
 
     "climb steps": restart-steps scored, the starting state and the step
-    budget of every restart of every outer step, times the share of
-    moves the climb scores (4 in 7 at M = 4, whose t-half moves are
-    rejected unscored).  The budget is one step at each N with
-    M >= (N+1)^2, where inner_maximize caps the climb.  "climb table
-    entries": those steps times the N * M table entries each one
-    scores.  "finish LP rows": an upper bound on the equality rows of
-    every see-saw LP, at its round cap (lvt.seesaw.lp_rows_bound).
-    Refuses, as n_sweep does, counts that are not ascending ints >= 1.
+    budget of every restart of every outer step (one step in the full
+    class), times the 4 in 7 moves the climb scores.  "climb table
+    entries": those steps times the 4N table entries each one scores.
+    "finish LP rows": an upper bound on the equality rows of every
+    see-saw LP at its round cap and the class's state cap
+    (lvt.seesaw.lp_rows_bound).  Refuses, as n_sweep does, counts that
+    are not ascending ints >= 1.
     """
-    n_values = _settings_counts(n_values)
-    m = config.m_states
-    steps = [
-        config.outer_iters * config.restarts * (_climb_iters(n, config) + 1) * _scored_share(m)
-        for n in n_values
-    ]
-    return {
-        "climb steps": sum(steps),
-        "climb table entries": sum(count * m * n for n, count in zip(n_values, steps)),
-        "finish LP rows": config.outer_iters * sum(lp_rows_bound(n, m) for n in n_values),
-    }
+    work = dict.fromkeys(("climb steps", "climb table entries", "finish LP rows"), 0)
+    for n in _settings_counts(n_values):
+        climb_iters, cap = _search_class(n, config)
+        steps = config.outer_iters * config.restarts * (climb_iters + 1) * _SCORED_SHARE
+        work["climb steps"] += steps
+        work["climb table entries"] += steps * _CLIMB_STATES * n
+        work["finish LP rows"] += config.outer_iters * lp_rows_bound(n, cap)
+    return work
 
 
 @dataclass(frozen=True)

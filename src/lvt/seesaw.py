@@ -18,10 +18,11 @@ visibility is a linear program in the third:
 Each step starts from a feasible point, so the visibility never drops.
 A basic optimum of the rho step zeroes many weights.  Zero-weight
 states are dropped and redrawn as random sign states: every rho step
-offers 2M freshly drawn ones next to the current states, and those the
-LP gives weight replace the dropped ones, provided the new support
-still fits in M states (a basic optimum always does once
-M >= (N+1)^2; otherwise the step falls back to the current states).
+offers 2M freshly drawn ones next to the current states, M being the
+caller's state cap, and those the LP gives weight replace the dropped
+ones if the new support fits in M states, else the step falls back to
+the current states.  lvt.search caps at 4 in its 4-state class and at
+M >= (N+1)^2 in its full class, where a basic optimum always fits.
 The LPs are reduced to the span of the fixed side's columns, so a
 table step has N*(rank+1) equality rows and the rho step at most
 (rank_A+1)*(rank_B+1) <= (min(N, 3M)+1)^2, never N^2.  The Gram enters
@@ -293,18 +294,19 @@ def certify(model: DiscreteLhvModel, settings: SettingsEnsemble) -> DiscreteLhvM
 
 
 def seesaw(
-    model: DiscreteLhvModel, settings: SettingsEnsemble, rng: np.random.Generator
+    model: DiscreteLhvModel, settings: SettingsEnsemble, rng: np.random.Generator, m_states: int
 ) -> DiscreteLhvModel:
     """Polish a certified model by alternating LPs; never returns a worse one.
 
-    rng draws the random sign states offered to each weight step.
+    rng draws the random sign states offered to each weight step, and the
+    finished model holds at most m_states states.
     """
     if model.visibility >= 1.0:
         return model
     svd = settings.svd
     svd_t = GramSvd(u=svd.v, v=svd.u, p=svd.p)
     n = settings.n_settings
-    m = model.m_states
+    m = m_states
     a, b, rho, v = model.a_table, model.b_table, model.rho, model.visibility
     best = v
     stall = 0
@@ -338,7 +340,7 @@ def seesaw(
 
 
 def lp_rows_bound(n: int, m: int) -> int:
-    """Most LP equality rows one finish solves, at N settings and M states.
+    """Most LP equality rows one finish solves, at N settings and a cap of M states.
 
     0 where square_table_steps(min(N, 3), M) holds: lvt.search skips the
     finish there for settings in general position.  Each of up to

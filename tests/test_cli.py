@@ -14,6 +14,7 @@ from lvt.cli import (
     EXIT_PARTIAL,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    MAX_CONSTRUCT_ENTRIES,
     MAX_SCAN_POINTS,
     SEARCH_WORK_LIMITS,
     load_settings,
@@ -159,7 +160,7 @@ GATE_VERDICTS = [
     (["--n", "100,300,1000"], None),
     (["--n", "4,10,30", "--m", "34", "--outer-iters", "2"], None),
     (["--n", "1000", "--inner-iters", "200000"], "climb steps"),
-    (["--n", "4,10,30", "--m", "34"], "finish LP rows"),
+    (["--n", "4,10,30", "--m", "961"], "finish LP rows"),
     (["--n", "2,3,4", "--inner-iters", "100000"], "climb steps"),
     (["--n", "2", "--outer-iters", "1000", "--inner-iters", "100"], "finish LP rows"),
     (["--n", "100,200,300,1000"], None),
@@ -189,10 +190,12 @@ def test_search_gate_verdicts(capsys, monkeypatch, argv, refused_by):
 
 
 def test_m4_sweep_counts_no_finish_rows():
-    # At M = 4 and N >= 3 inner_maximize skips the see-saw finish.
+    # In the 4-state class with N >= 3 inner_maximize skips the see-saw
+    # finish, at M = 5 as at M = 4; the full class, M >= (N+1)^2, runs it.
     assert sweep_work([100, 300, 1000], SearchConfig(n_settings=100))["finish LP rows"] == 0
     assert sweep_work([2, 3], SearchConfig(n_settings=2))["finish LP rows"] > 0
-    assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish LP rows"] > 0
+    assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish LP rows"] == 0
+    assert sweep_work([3], SearchConfig(n_settings=3, m_states=16))["finish LP rows"] > 0
 
 
 def test_search_streams_progress_to_stderr(capsys):
@@ -287,6 +290,30 @@ def test_construct_json_reports_validation_block(capsys, tmp_path):
     assert record["details"]["validation"]["passed"] is True
     assert record["details"]["validation"]["correlation_violation"] < 1e-9
     assert abs(sum(record["details"]["rho"]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--m", str(10**12)],
+    ["--n", str(10**12)],
+    ["--n", "2", "--m", str(MAX_CONSTRUCT_ENTRIES // 2 + 1)],
+])
+def test_construct_refuses_huge_tables_before_drawing(capsys, monkeypatch, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("settings were drawn")
+
+    monkeypatch.setattr("lvt.cli.SettingsEnsemble.random", no_draw)
+    code, _, err = run_cli(capsys, ["construct"] + argv)
+    assert code == EXIT_RESOURCE
+    assert "table entries" in err and "limit" in err
+
+
+def test_construct_prices_a_settings_file_by_its_count(capsys, tmp_path):
+    path = write_settings(tmp_path / "s.json", [[0, 0, 1]] * 2, [[1, 0, 0]] * 2)
+    code, _, err = run_cli(
+        capsys, ["construct", "--settings", path, "--m", str(MAX_CONSTRUCT_ENTRIES // 2 + 1)]
+    )
+    assert code == EXIT_RESOURCE
+    assert "N = 2" in err
 
 
 def test_construct_usage_errors(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_single_setting_reaches_exactly_one():
 
 def test_inner_maximum_never_exceeds_exact_optimum():
     rng = np.random.default_rng(83)
-    for n, m in ((2, 4), (3, 4), (4, 8)):
+    for n, m in ((2, 4), (3, 4), (4, 25)):
         for _ in range(3):
             settings = SettingsEnsemble.random(n, rng)
             cfg = SearchConfig(
@@ -156,7 +157,7 @@ def test_climb_never_calls_a_matrix_inverse(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
     settings = SettingsEnsemble.random(3, np.random.default_rng([151, 3]))
-    cfg = SearchConfig(n_settings=3, m_states=5, inner_iters=500, restarts=6, seed=1)
+    cfg = SearchConfig(n_settings=3, m_states=4, inner_iters=500, restarts=6, seed=1)
     value, _, evals = search_module._climb(settings, cfg)
     assert evals >= 6 * 500
     assert value > 0.0
@@ -164,7 +165,7 @@ def test_climb_never_calls_a_matrix_inverse(monkeypatch):
 
 def test_inner_maximize_deterministic():
     rng = np.random.default_rng(97)
-    for n, m in ((2, 4), (4, 8)):
+    for n, m in ((2, 4), (4, 25)):
         settings = SettingsEnsemble.random(n, rng)
         cfg = SearchConfig(n_settings=n, m_states=m, inner_iters=500, restarts=2, seed=7)
         _, one = inner_maximize(settings, cfg)
@@ -193,13 +194,44 @@ def test_finish_alone_reaches_the_oracle_from_m_of_n_plus_one_squared(n, m):
 
 
 def test_search_below_n_plus_one_squared_climbs_its_full_budget():
-    # (N, M) = (3, 15) lies just below (N+1)^2 = 16: the climb keeps its
-    # budget, and value and step count are those of the uncapped search.
+    # (N, M) = (3, 15) lies just below (N+1)^2 = 16, in the 4-state
+    # class: the climb keeps its budget, and value and step count are
+    # those of the M = 4 search.
     settings = SettingsEnsemble.random(3, np.random.default_rng([133, 3]))
     cfg = SearchConfig(n_settings=3, m_states=15, inner_iters=1000, restarts=2, seed=3)
     _, est = inner_maximize(settings, cfg)
-    assert est.value == 0.7766569143712716
-    assert est.iterations_used == 2002
+    _, m4 = inner_maximize(settings, replace(cfg, m_states=4))
+    assert est.value == m4.value == 0.6712554555762287
+    assert est.iterations_used == m4.iterations_used == 2002
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10])
+def test_middle_m_searches_the_four_state_construction(n):
+    # Every M below (N+1)^2 is the 4-state class: the same climb, the
+    # same finish decision and cap, so the same result as M = 4, bit for
+    # bit.
+    settings = SettingsEnsemble.random(n, np.random.default_rng([157, n]))
+    base = SearchConfig(n_settings=n, inner_iters=200, restarts=2, seed=n)
+    model4, est4 = inner_maximize(settings, base)
+    for m in range(5, (n + 1) ** 2):
+        model, est = inner_maximize(settings, replace(base, m_states=m))
+        assert est.value == est4.value
+        assert est.iterations_used == est4.iterations_used
+        assert np.array_equal(model.rho, model4.rho)
+        assert np.array_equal(model.a_table, model4.a_table)
+        assert np.array_equal(model.b_table, model4.b_table)
+
+
+def test_climb_ignores_m_states():
+    settings = SettingsEnsemble.random(3, np.random.default_rng([163, 3]))
+    base = SearchConfig(n_settings=3, inner_iters=300, restarts=2, seed=4)
+    value, state, evals = search_module._climb(settings, base)
+    assert state.shape == (28,)
+    for m in (5, 15, 16, 100):
+        other = search_module._climb(settings, replace(base, m_states=m))
+        assert other[0] == value
+        assert np.array_equal(other[1], state)
+        assert other[2] == evals
 
 
 def test_m4_model_keeps_zero_marginals():
@@ -231,13 +263,14 @@ def test_m4_model_keeps_zero_marginals():
 def stepwise_climb(settings, config, retire=True):
     """Reference climb: one move per restart per step, all restarts in lockstep.
 
-    Each restart reads its moves from a queue refilled from its stream
+    It climbs 4-state states whatever config.m_states says.  Each
+    restart reads its moves from a queue refilled from its stream
     sm._DRAWS at a time.  With retire, a restart that reaches V = 1
     stops, and so does every higher-index restart, after that step.
     """
     sm = search_module
     w_ab = sm._scaled_factors(settings)
-    m = config.m_states
+    m = 4
     dim = 7 * m
     count = config.restarts
     rngs = [seeded_rng(config.seed, sm._TAG_RESTART, r) for r in range(count)]
@@ -281,10 +314,8 @@ def stepwise_climb(settings, config, retire=True):
             score, _ = sm._scores(current.copy(), np.full(count, beta))
         moves = [next_move(r) for r in live]
         evals += len(live)
-        # At M = 4 a t-half move is a rejection, never scored.
-        scored = [
-            i for i, (index, _) in enumerate(moves) if m > 4 or not 3 * m <= index < 6 * m
-        ]
+        # A t-half move is a rejection, never scored.
+        scored = [i for i, (index, _) in enumerate(moves) if not 3 * m <= index < 6 * m]
         accepted = np.zeros(len(live), dtype=bool)
         if scored:
             candidate = x[[live[i] for i in scored]]
@@ -326,28 +357,30 @@ def winner(values):
 
 
 @pytest.mark.parametrize(
-    "n, m, restarts",
+    "n, m_states, restarts",
     [(2, 4, 1), (3, 5, 6), (30, 4, 2), (4, 34, 3), (1, 4, 3), (4, 4, 6), (2, 10, 3), (2, 5, 6)],
 )
-def test_block_climb_matches_stepwise_reference(monkeypatch, n, m, restarts):
-    # Short climbs take a patience of 7, which halves the step factor
-    # often enough that blocks end on halvings, restarts run out early,
-    # and blocks meet the rung ends.  At (1, 4, 3) restart 1 reaches
-    # V = 1, so restart 2 retires while restart 0 climbs on.  (2, 5, 6)
-    # is a full climb at the default patience and budget: restart 0
-    # reaches V = 1 at step 525, after restarts 1, 3 and 5 have climbed
-    # past it, so their steps past it do not count.  _climb returns the
-    # reference's winner: its best value and state, and every step the
-    # reference counts.
-    full = (n, m, restarts) == (2, 5, 6)
+def test_block_climb_matches_stepwise_reference(monkeypatch, n, m_states, restarts):
+    # The climb searches 4-state states whatever m_states asks for, so
+    # the cases differ in N and in the restart count.  Short climbs take
+    # a patience of 7, which halves the step factor often enough that
+    # blocks end on halvings, restarts run out early, and blocks meet
+    # the rung ends.  At (1, 4, 3) restart 1 reaches V = 1, so restart 2
+    # retires while restart 0 climbs on.  (2, 5, 6) is a full climb at
+    # the default patience and budget: restart 2 reaches V = 1 at step
+    # 448 and restart 0 at step 471, after restarts 1, 3 and 5 have
+    # climbed past those steps, so their steps past them do not count.
+    # _climb returns the reference's winner: its best value and state,
+    # and every step the reference counts.
+    full = (n, m_states, restarts) == (2, 5, 6)
     if full:
         settings = SettingsEnsemble.random(n, np.random.default_rng([1, n]))
-        cfg = SearchConfig(n_settings=n, m_states=m, restarts=restarts, seed=1)
+        cfg = SearchConfig(n_settings=n, m_states=m_states, restarts=restarts, seed=1)
     else:
         monkeypatch.setattr(search_module, "_PATIENCE", 7)
-        settings = SettingsEnsemble.random(n, np.random.default_rng([107, n, m]))
+        settings = SettingsEnsemble.random(n, np.random.default_rng([107, n, m_states]))
         cfg = SearchConfig(
-            n_settings=n, m_states=m, inner_iters=300, restarts=restarts, seed=5
+            n_settings=n, m_states=m_states, inner_iters=300, restarts=restarts, seed=5
         )
     value, state, evals = search_module._climb(settings, cfg)
     ref_v, ref_x, ref_evals = stepwise_climb(settings, cfg)
@@ -565,12 +598,13 @@ def test_extrapolate_requires_three_distinct_counts():
 
 
 def test_state_to_model_certifies_its_value():
+    # (4, 25) is the full class, whose finish keeps only live states.
     rng = np.random.default_rng(103)
-    for n, m in ((3, 4), (4, 8)):
+    for n, m in ((3, 4), (4, 4), (4, 25)):
         settings = SettingsEnsemble.random(n, rng)
         cfg = SearchConfig(n_settings=n, m_states=m, inner_iters=800, restarts=1, seed=13)
         model, est = inner_maximize(settings, cfg)
-        assert model.m_states == m
+        assert model.m_states <= m
         assert abs(model.visibility - est.value) < 1e-12
         report = validate_model(model, settings, 1e-8)
         assert report.passed
@@ -597,37 +631,41 @@ def test_search_path_never_reads_the_gram(monkeypatch):
 
 
 def test_inner_maximize_skips_the_finish_where_it_is_a_fixed_point(monkeypatch):
-    # At M = 4 and N >= 3 (a rank-3 Gram) every finish step would return
-    # the climb's own model, so inner_maximize certifies it instead.
+    # In the 4-state class with N >= 3 (a rank-3 Gram) every finish step
+    # would return the climb's own model, so inner_maximize certifies it
+    # instead: at M = 4 and at (3, 5) alike.  The finish runs at N = 2
+    # with a cap of 4, and in the full class (3, 16) with a cap of M.
     finished = []
     real_seesaw = search_module.seesaw
 
-    def recording_seesaw(model, settings, rng):
-        finished.append(settings.n_settings)
-        return real_seesaw(model, settings, rng)
+    def recording_seesaw(model, settings, rng, m_states):
+        finished.append((settings.n_settings, m_states))
+        return real_seesaw(model, settings, rng, m_states)
 
     monkeypatch.setattr(search_module, "seesaw", recording_seesaw)
     rng = np.random.default_rng(131)
-    for n, m, runs_finish in ((3, 4, False), (4, 4, False), (100, 4, False),
-                              (2, 4, True), (3, 5, True)):
+    for n, m, cap in ((3, 4, None), (4, 4, None), (100, 4, None), (3, 5, None),
+                      (2, 4, 4), (2, 5, 4), (3, 16, 16)):
         settings = SettingsEnsemble.random(n, rng)
         cfg = SearchConfig(n_settings=n, m_states=m, inner_iters=300, restarts=2, seed=n)
         finished.clear()
         model, est = inner_maximize(settings, cfg)
-        assert finished == ([n] if runs_finish else [])
+        assert finished == ([] if cap is None else [(n, cap)])
         assert model.visibility == est.value
         assert validate_model(model, settings, 1e-8).passed
 
 
 def test_returned_models_hold_only_live_states(monkeypatch):
-    # Criterion 7's shapes.  The finish keeps only the states its weights
-    # use, so a model it returns in place of the climb's holds at most
-    # (N+1)^2 states, the most a basic optimum of its weight LP weighs.
+    # Criterion 7's shapes.  M = 5 is the 4-state class, whose finish
+    # runs only at N = 2, with a cap of 4; M = 2(N^2+1) is the full
+    # class.  The finish keeps only the states its weights use, so a
+    # model it returns in place of the climb's holds at most (N+1)^2
+    # states, the most a basic optimum of its weight LP weighs.
     replaced = []
     real_seesaw = search_module.seesaw
 
-    def recording_seesaw(model, settings, rng):
-        finished = real_seesaw(model, settings, rng)
+    def recording_seesaw(model, settings, rng, m_states):
+        finished = real_seesaw(model, settings, rng, m_states)
         if finished is not model:
             replaced.append((settings.n_settings, finished))
         return finished
@@ -671,19 +709,19 @@ def test_finish_is_a_fixed_point_at_m4(n):
     _, state, _ = search_module._climb(settings, cfg)
     climbed = state_to_model(state, settings)
     polished = seesaw_module.seesaw(
-        climbed, settings, seeded_rng(cfg.seed, search_module._TAG_FINISH)
+        climbed, settings, seeded_rng(cfg.seed, search_module._TAG_FINISH), 4
     )
     assert abs(polished.visibility - climbed.visibility) <= 1e-12
 
 
 def test_uncertified_climb_model_raises(monkeypatch):
     # The climb's model is certified whether the finish is skipped
-    # (M = 4) or runs (M = 5), where a finish that fails to beat it
-    # would otherwise hand it back unchecked.
+    # (M = 4) or runs (M = 16, the full class), where a finish that fails
+    # to beat it would otherwise hand it back unchecked.
     failing = ValidationReport(1.0, 0.0, 0.0, 0.0, tol=1e-9)
     monkeypatch.setattr(seesaw_module, "validate_model", lambda model, settings, tol: failing)
     settings = SettingsEnsemble.random(3, np.random.default_rng(149))
-    for m in (4, 5):
+    for m in (4, 16):
         cfg = SearchConfig(n_settings=3, m_states=m, inner_iters=100, restarts=1, seed=3)
         with pytest.raises(ConstructionFailureError):
             inner_maximize(settings, cfg)

@@ -19,7 +19,7 @@ def test_finish_is_certified_and_never_worse():
     # of the weight LP gives weight to at most (N+1)^2 of them.
     n = 4
     settings, start = span_model(n, 34, 7)
-    finished = seesaw(start, settings, np.random.default_rng(1))
+    finished = seesaw(start, settings, np.random.default_rng(1), start.m_states)
     assert finished is not start
     assert finished.visibility >= start.visibility
     assert finished.visibility <= max_visibility_lp(settings).value + 1e-9
@@ -31,14 +31,14 @@ def test_finish_is_certified_and_never_worse():
 def test_finish_reaches_the_oracle_with_enough_states():
     for n, seed in ((3, 21), (3, 22), (4, 23), (4, 24)):
         settings, start = span_model(n, 2 * (n * n + 1), seed)
-        finished = seesaw(start, settings, np.random.default_rng(seed))
+        finished = seesaw(start, settings, np.random.default_rng(seed), start.m_states)
         assert finished.visibility >= max_visibility_lp(settings).value - 0.02
 
 
 def finished_model(n, m, seed):
     """A certified model over general tables: the finish of a span model."""
     settings, start = span_model(n, m, seed)
-    return settings, seesaw(start, settings, np.random.default_rng(seed))
+    return settings, seesaw(start, settings, np.random.default_rng(seed), start.m_states)
 
 
 def table_targets(settings):
@@ -137,15 +137,15 @@ def test_finish_leaves_the_rank_three_span():
     # works over general tables, so its tables need not.
     settings, start = span_model(4, 34, 11)
     assert np.linalg.matrix_rank(start.a_table) == 3
-    finished = seesaw(start, settings, np.random.default_rng(2))
+    finished = seesaw(start, settings, np.random.default_rng(2), start.m_states)
     assert np.linalg.matrix_rank(finished.a_table) == 4
     assert finished.visibility > start.visibility
 
 
 def test_finish_is_deterministic_per_stream():
     settings, start = span_model(3, 8, 5)
-    one = seesaw(start, settings, np.random.default_rng(3))
-    two = seesaw(start, settings, np.random.default_rng(3))
+    one = seesaw(start, settings, np.random.default_rng(3), start.m_states)
+    two = seesaw(start, settings, np.random.default_rng(3), start.m_states)
     assert one.visibility == two.visibility
     assert np.array_equal(one.a_table, two.a_table)
     assert np.array_equal(one.rho, two.rho)
@@ -160,7 +160,7 @@ def test_full_visibility_model_is_returned_unchanged():
         b_table=np.array([[1.0, -1.0, 1.0, -1.0]]),
         visibility=1.0,
     )
-    assert seesaw(model, settings, np.random.default_rng(0)) is model
+    assert seesaw(model, settings, np.random.default_rng(0), model.m_states) is model
 
 
 def test_certified_model_rejects_what_it_cannot_certify():
@@ -207,7 +207,7 @@ def test_lp_rows_grow_with_n_not_n_squared(monkeypatch):
         return real_lp(columns, b_eq, *args, **kwargs)
 
     monkeypatch.setattr(seesaw_module, "maximize_last", recording_lp)
-    finished = seesaw(start, settings, np.random.default_rng(4))
+    finished = seesaw(start, settings, np.random.default_rng(4), start.m_states)
     assert heights
     assert max(heights) <= n * (m + 1)
     # Every table step at M = 4 is square and solved without HiGHS; the
