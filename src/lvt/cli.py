@@ -61,15 +61,23 @@ MAX_SCAN_POINTS = 10_001
 
 # The most table entries N * M `construct` builds: at N = 1, M = 10^6 it
 # peaked at 318 MB, and larger N cost less per entry, so all stay < 400 MB.
+# Its validation forms N^2 correlations of M terms each; the most terms,
+# N^2 * M, took 62 s at N = 10^5, M = 4 on a 2-core machine, and less
+# per term at larger M (22 s for 5e10 terms at M = 20).
 MAX_CONSTRUCT_ENTRIES = 10**6
+MAX_CONSTRUCT_TERMS = 4 * 10**10
 
 # A sweep asking for more of any count of lvt.search.sweep_work (scored
-# climb steps, scored climb table entries, finish LP rows) than its limit
-# here refuses to start without --long.  Each limit is about a minute of
-# work on a 2-core machine in the regime where its count dominates; the
-# counts are of work, not time, so a faster program leaves the gate
-# conservative rather than wrong.
-SEARCH_WORK_LIMITS = {"climb steps": 2e6, "climb table entries": 1e9, "finish LP rows": 1e6}
+# climb steps, scored climb table entries, finish LP rows, finish table
+# entries) than its limit here refuses to start without --long.  Each
+# limit is about a minute of work on a 2-core machine in the regime
+# where its count dominates (the largest full-class sweep admitted at
+# N = 10, M = 231, took 90 s); the counts are of work, not time, so a
+# faster program leaves the gate conservative rather than wrong.
+SEARCH_WORK_LIMITS = {
+    "climb steps": 2e6, "climb table entries": 1e9,
+    "finish LP rows": 1e6, "finish table entries": 2e7,
+}
 
 
 @dataclass(frozen=True)
@@ -345,9 +353,11 @@ def _cmd_chsh(args, seed: int):
 
 
 def _refuse_large_construct(n: int, m: int) -> None:
-    if n * m > MAX_CONSTRUCT_ENTRIES:
-        raise ResourceLimitError(f"construct asks for {n * m:.3g} table entries (N = {n}, "
-                                 f"M = {m}), over the limit of {MAX_CONSTRUCT_ENTRIES:.3g}")
+    for count, limit, name in ((n * m, MAX_CONSTRUCT_ENTRIES, "table entries"),
+                               (n * n * m, MAX_CONSTRUCT_TERMS, "correlation terms")):
+        if count > limit:
+            raise ResourceLimitError(f"construct asks for {count:.3g} {name} (N = {n}, "
+                                     f"M = {m}), over the limit of {limit:.3g}")
 
 
 def _cmd_construct(args, seed: int):

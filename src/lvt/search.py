@@ -82,7 +82,7 @@ from .construct import (
 from .core import require_int, seeded_rng
 from .errors import ConstructionFailureError, InvalidInputError, LvtError
 from .estimate import VisibilityEstimate
-from .seesaw import certify, gram_rank, lp_rows_bound, seesaw, square_table_steps
+from .seesaw import certify, finish_bounds, gram_rank, seesaw, square_table_steps
 
 logger = logging.getLogger(__name__)
 
@@ -610,18 +610,23 @@ def sweep_work(n_values: Sequence[int], config: SearchConfig) -> dict:
     budget of every restart of every outer step (one step in the full
     class), times the 4 in 7 moves the climb scores.  "climb table
     entries": those steps times the 4N table entries each one scores.
-    "finish LP rows": an upper bound on the equality rows of every
-    see-saw LP at its round cap and the class's state cap
-    (lvt.seesaw.lp_rows_bound).  Refuses, as n_sweep does, counts that
-    are not ascending ints >= 1.
+    "finish LP rows" and "finish table entries": upper bounds on the
+    equality rows of every see-saw LP and on the random sign-table
+    entries its weight steps are offered, at its round cap and the
+    class's state cap (lvt.seesaw.finish_bounds).  Refuses, as n_sweep
+    does, counts that are not ascending ints >= 1.
     """
-    work = dict.fromkeys(("climb steps", "climb table entries", "finish LP rows"), 0)
+    work = dict.fromkeys(
+        ("climb steps", "climb table entries", "finish LP rows", "finish table entries"), 0
+    )
     for n in _settings_counts(n_values):
         climb_iters, cap = _search_class(n, config)
         steps = config.outer_iters * config.restarts * (climb_iters + 1) * _SCORED_SHARE
+        rows, entries = finish_bounds(n, cap)
         work["climb steps"] += steps
         work["climb table entries"] += steps * _CLIMB_STATES * n
-        work["finish LP rows"] += config.outer_iters * lp_rows_bound(n, cap)
+        work["finish LP rows"] += config.outer_iters * rows
+        work["finish table entries"] += config.outer_iters * entries
     return work
 
 

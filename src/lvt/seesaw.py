@@ -23,6 +23,11 @@ caller's state cap, and those the LP gives weight replace the dropped
 ones if the new support fits in M states, else the step falls back to
 the current states.  lvt.search caps at 4 in its 4-state class and at
 M >= (N+1)^2 in its full class, where a basic optimum always fits.
+The finish first splits each of the model's K states into cap // K
+equal copies: the same model, but one whose table steps can move the
+copies apart.  A 4-state start has square table steps (below), which return
+their starting tables; from one, the full class stalled near the
+climb's start value in 5 of 12 seeded searches at N = 10-12.
 The LPs are reduced to the span of the fixed side's columns, so a
 table step has N*(rank+1) equality rows and the rho step at most
 (rank_A+1)*(rank_B+1) <= (min(N, 3M)+1)^2, never N^2.  The Gram enters
@@ -299,7 +304,9 @@ def seesaw(
     """Polish a certified model by alternating LPs; never returns a worse one.
 
     rng draws the random sign states offered to each weight step, and the
-    finished model holds at most m_states states.
+    finished model holds at most m_states states.  Each of the model's
+    K states is first split into m_states // K equal copies (module
+    docstring).
     """
     if model.visibility >= 1.0:
         return model
@@ -307,7 +314,9 @@ def seesaw(
     svd_t = GramSvd(u=svd.v, v=svd.u, p=svd.p)
     n = settings.n_settings
     m = m_states
-    a, b, rho, v = model.a_table, model.b_table, model.rho, model.visibility
+    copies = m // model.rho.shape[0]
+    a, b = np.repeat(model.a_table, copies, axis=1), np.repeat(model.b_table, copies, axis=1)
+    rho, v = np.repeat(model.rho / copies, copies), model.visibility
     best = v
     stall = 0
     for _ in range(_MAX_ROUNDS):
@@ -339,12 +348,13 @@ def seesaw(
     return finished
 
 
-def lp_rows_bound(n: int, m: int) -> int:
-    """Most LP equality rows one finish solves, at N settings and a cap of M states.
+def finish_bounds(n: int, m: int) -> tuple[int, int]:
+    """Most LP equality rows one finish solves, and most sign-table
+    entries its weight steps are offered, at N settings and a cap of M.
 
-    0 where square_table_steps(min(N, 3), M) holds: lvt.search skips the
-    finish there for settings in general position.  Each of up to
-    _MAX_ROUNDS rounds solves two table steps, the weight LP over the
+    Both 0 where square_table_steps(min(N, 3), M) holds: lvt.search
+    skips the finish there for settings in general position.  Each of up
+    to _MAX_ROUNDS rounds solves two table steps, the weight LP over the
     current and pooled states, and at most one fallback weight LP over
     the current states.  Every table the finish holds has zero marginals, T rho = 0,
     so its M columns have rank at most M - 1.  A table step's fixed side
@@ -352,11 +362,14 @@ def lp_rows_bound(n: int, m: int) -> int:
     min(N, 3) and min(N, M - 1); a step that is not square (square
     tables need no LP) has N * (rank + 1) rows with rank + 1 < M.  A
     weight LP has (rank_A + 1) * (rank_B + 1) rows, each rank at most N
-    and at most M - 1 plus the fresh columns offered.
+    and at most M - 1 plus the fresh columns offered.  The pooled weight
+    LP is offered, on each side, the current M or fewer states and
+    _POOL_FACTOR * M fresh ones, N entries each.
     """
     if square_table_steps(min(n, 3), m):
-        return 0
+        return 0, 0
     table = n * min(n + 1, m - 1)
     pooled = (min(n, m - 1 + _POOL_FACTOR * m) + 1) ** 2
     current = (min(n, m - 1) + 1) ** 2
-    return _MAX_ROUNDS * (2 * table + pooled + current)
+    offered = 2 * n * (1 + _POOL_FACTOR) * m
+    return _MAX_ROUNDS * (2 * table + pooled + current), _MAX_ROUNDS * offered

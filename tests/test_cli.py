@@ -15,6 +15,7 @@ from lvt.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     MAX_CONSTRUCT_ENTRIES,
+    MAX_CONSTRUCT_TERMS,
     MAX_SCAN_POINTS,
     SEARCH_WORK_LIMITS,
     load_settings,
@@ -166,6 +167,12 @@ GATE_VERDICTS = [
     (["--n", "100,200,300,1000"], None),
     # M >= (N+1)^2 at every N: one climb step per restart, whatever the budget.
     (["--n", "2,3,4", "--m", "34", "--inner-iters", "100000"], None),
+    # The full class's weight steps are offered 3M states a side: a huge M
+    # is refused before any is drawn, and at N = 10 the limit falls
+    # between M = 231 (90 s) and 232.
+    (["--n", "2", "--m", str(10**12)], "finish table entries"),
+    (["--n", "10", "--m", "232"], "finish table entries"),
+    (["--n", "10", "--m", "231"], None),
 ]
 
 
@@ -196,6 +203,8 @@ def test_m4_sweep_counts_no_finish_rows():
     assert sweep_work([2, 3], SearchConfig(n_settings=2))["finish LP rows"] > 0
     assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish LP rows"] == 0
     assert sweep_work([3], SearchConfig(n_settings=3, m_states=16))["finish LP rows"] > 0
+    assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish table entries"] == 0
+    assert sweep_work([3], SearchConfig(n_settings=3, m_states=16))["finish table entries"] > 0
 
 
 def test_search_streams_progress_to_stderr(capsys):
@@ -305,6 +314,20 @@ def test_construct_refuses_huge_tables_before_drawing(capsys, monkeypatch, argv)
     code, _, err = run_cli(capsys, ["construct"] + argv)
     assert code == EXIT_RESOURCE
     assert "table entries" in err and "limit" in err
+
+
+@pytest.mark.parametrize("n, m", [(250000, 4), (100001, 4)])
+def test_construct_refuses_slow_validation_before_drawing(capsys, monkeypatch, n, m):
+    # Within the table-entry limit, but the N^2 * M correlation terms of
+    # the validation would take over a minute.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("settings were drawn")
+
+    monkeypatch.setattr("lvt.cli.SettingsEnsemble.random", no_draw)
+    assert n * m <= MAX_CONSTRUCT_ENTRIES < MAX_CONSTRUCT_TERMS < n * n * m
+    code, _, err = run_cli(capsys, ["construct", "--n", str(n), "--m", str(m)])
+    assert code == EXIT_RESOURCE
+    assert "correlation terms" in err and "limit" in err
 
 
 def test_construct_prices_a_settings_file_by_its_count(capsys, tmp_path):

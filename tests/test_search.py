@@ -193,6 +193,16 @@ def test_finish_alone_reaches_the_oracle_from_m_of_n_plus_one_squared(n, m):
     assert results[0] == results[1]
 
 
+def test_full_class_finish_leaves_its_four_state_start():
+    # The full class finishes from a one-step 4-state model, whose table
+    # steps are square and return their own tables.  Unsplit, this
+    # finish stalled at V = 0.0703 against the oracle's 0.7666.
+    settings = SettingsEnsemble.random(10, np.random.default_rng([3, 10]))
+    model, est = inner_maximize(settings, SearchConfig(n_settings=10, m_states=121, seed=3))
+    assert abs(est.value - max_visibility_lp(settings).value) < 1e-3
+    assert validate_model(model, settings, 1e-8).passed
+
+
 def test_search_below_n_plus_one_squared_climbs_its_full_budget():
     # (N, M) = (3, 15) lies just below (N+1)^2 = 16, in the 4-state
     # class: the climb keeps its budget, and value and step count are
