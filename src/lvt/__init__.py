@@ -6,9 +6,11 @@ the threshold four independent ways, each measuring its own quantity:
 
 - analytic: a Legendre-series model is local for every direction
   pair up to V = 1/3, so 1/3 is a lower bound on the threshold.
-- search: the SVD construction's max-min over settings, a certified
-  lower bound for each settings ensemble; at M = 4 hidden states its
-  limit as N grows is 1/3.
+- search: a max-min over settings of certified lower bounds, one per
+  settings ensemble, in one of two classes.  Below M = (N+1)^2 hidden
+  states it searches the paper's 4-state SVD construction, whose limit
+  as N grows is 1/3; from M = (N+1)^2 on, the full local polytope, by
+  a see-saw finish over (N+1)^2 states.
 - oracle: the LP over deterministic strategies gives the exact
   V*(settings) for small N; minimized over settings, that is an upper
   bound on the threshold.

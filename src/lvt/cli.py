@@ -41,7 +41,7 @@ from .errors import (
 )
 from .estimate import VisibilityEstimate
 from .inequalities import bell_threshold_numeric, chsh_threshold_numeric
-from .oracle import max_visibility_lp
+from .oracle import check_settings_count, max_visibility_lp
 from .search import SearchConfig, extrapolate, n_sweep, state_to_model, sweep_work
 
 EXIT_OK = 0
@@ -68,16 +68,14 @@ MAX_CONSTRUCT_ENTRIES = 10**6
 MAX_CONSTRUCT_TERMS = 4 * 10**10
 
 # A sweep asking for more of any count of lvt.search.sweep_work (scored
-# climb steps, scored climb table entries, finish LP rows, finish table
-# entries) than its limit here refuses to start without --long.  Each
-# limit is about a minute of work on a 2-core machine in the regime
-# where its count dominates (the largest full-class sweep admitted at
-# N = 10, M = 231, took 90 s); the counts are of work, not time, so a
-# faster program leaves the gate conservative rather than wrong.
-SEARCH_WORK_LIMITS = {
-    "climb steps": 2e6, "climb table entries": 1e9,
-    "finish LP rows": 1e6, "finish table entries": 2e7,
-}
+# climb steps, scored climb table entries, finish LP cells) than its
+# limit here refuses to start without --long.  Each limit is about a
+# minute of work on a 2-core machine in the regime where its count
+# dominates: a full-class finish took up to 4e-7 s per cell at N = 8-16, and
+# the largest full-class sweeps admitted, N = 16 at one outer step and
+# N = 8 at 24, took 61 s and 22 s.  The counts are of work, not time, so
+# a faster program leaves the gate conservative rather than wrong.
+SEARCH_WORK_LIMITS = {"climb steps": 2e6, "climb table entries": 1e9, "finish LP cells": 2e8}
 
 
 @dataclass(frozen=True)
@@ -300,6 +298,9 @@ def _cmd_search(args, seed: int):
 
 
 def _cmd_oracle(args, seed: int):
+    # Random settings are priced before any is drawn.
+    if args.settings is None and args.random is not None:
+        check_settings_count(args.random)
     settings = _settings(args, seed, args.random, "--random")
     estimate = max_visibility_lp(settings)
     details = {
@@ -415,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="Monte-Carlo max-min sweep over N")
     p.add_argument("--n", required=True, help="comma-separated settings counts, ascending")
     p.add_argument("--m", type=int, default=4,
-                   help="hidden states (default 4): M < (N+1)^2 searches the paper's 4-state "
-                        "construction, M >= (N+1)^2 the local polytope with up to M states")
+                   help="picks the searched class (default 4): M < (N+1)^2 the paper's 4-state "
+                        "construction, M >= (N+1)^2 the full local polytope, whose models "
+                        "hold up to (N+1)^2 states whatever M is")
     p.add_argument("--inner-iters", type=int, default=4000,
                    help="climb steps per restart (default 4000) where M < (N+1)^2; 1 elsewhere")
     p.add_argument("--outer-iters", type=int, default=24)
@@ -424,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extrapolate", action="store_true",
                    help="append the fitted N->infinity limit")
     p.add_argument("--long", action="store_true",
-                   help="allow sweeps over a work limit: " + ", ".join(
+                   help="allow sweeps over a work limit, each about a minute: " + ", ".join(
                        f"{limit:.3g} {name}" for name, limit in SEARCH_WORK_LIMITS.items()
                    ))
     p.set_defaults(run=_cmd_search)

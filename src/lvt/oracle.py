@@ -124,7 +124,7 @@ def _hemisphere_strategies(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells[:, :n], cells[:, n:]
 
 
-def _check_settings_count(n: int) -> None:
+def check_settings_count(n: int) -> None:
     """Refuse more than MAX_ORACLE_SETTINGS settings per side."""
     if n > MAX_ORACLE_SETTINGS:
         raise ResourceLimitError(
@@ -146,7 +146,7 @@ def max_visibility_for_gram(gram) -> tuple[float, int]:
     if not np.all(np.isfinite(g)) or np.max(np.abs(g)) > 1.0 + 1e-9:
         raise InvalidInputError("gram entries must be finite and lie in [-1, 1]")
     n = g.shape[0]
-    _check_settings_count(n)
+    check_settings_count(n)
 
     # Every gauge-fixed a (a[0] = +1); bit j of row i's index flips a[j + 1].
     # No bit array outlives this: at N = 18 one would hold 18 MB for the whole solve.
@@ -194,7 +194,7 @@ def max_visibility_lp(settings: SettingsEnsemble) -> VisibilityEstimate:
 
     Refuses N > MAX_ORACLE_SETTINGS before building the N x N Gram.
     """
-    _check_settings_count(settings.n_settings)
+    check_settings_count(settings.n_settings)
     value, iterations = max_visibility_for_gram(settings.gram)
     return VisibilityEstimate(
         value=value,

@@ -6,7 +6,7 @@ around to minimize that maximum.  Sweeping the settings count N and
 extrapolating N -> infinity estimates the threshold below which every
 ensemble stays locally representable.
 
-It searches one of two named classes, picked from (N, M).  Any
+It searches one of two named classes, and M only picks which.  Any
 M < (N+1)^2 is the paper's 4-state SVD construction: a hill climb over
 its frame parameters (q, t, rho), whose tables have columns in the
 rank-3 span of the Gram matrix, then an alternating-LP finish
@@ -14,11 +14,12 @@ rank-3 span of the Gram matrix, then an alternating-LP finish
 where the Gram's rank is below 3: at rank 3 (N >= 3 in general
 position) it is a fixed point (lvt.seesaw.square_table_steps).
 M >= (N+1)^2 is the full local polytope: the climb takes one step per
-restart and the finish, capped at M states, carries the search.  A
-basic optimum of its weight LP has at most (N+1)^2 states (its equality
-rows), so it always fits, and each weight step works as column
-generation over the fresh random sign states it is offered (the see-saw
-method of Brierley, Navascues and Vertesi, arXiv:1609.05011).
+restart and the finish, capped at (N+1)^2 states whatever M says,
+carries the search.  A basic optimum of its weight LP has at most
+(N+1)^2 states (its equality rows), so it always fits, and each weight
+step works as column generation over the fresh random sign states it
+is offered (the see-saw method of Brierley, Navascues and Vertesi,
+arXiv:1609.05011).
 
 A state is a flat vector of 7M reals (M = 4 in the climb): the 6 raw
 frame vectors plus raw weights.  One stacked kernel, _state_tables,
@@ -82,7 +83,7 @@ from .construct import (
 from .core import require_int, seeded_rng
 from .errors import ConstructionFailureError, InvalidInputError, LvtError
 from .estimate import VisibilityEstimate
-from .seesaw import certify, finish_bounds, gram_rank, seesaw, square_table_steps
+from .seesaw import certify, finish_cells, gram_rank, seesaw, square_table_steps
 
 logger = logging.getLogger(__name__)
 
@@ -153,8 +154,10 @@ _ALPHA_GRID = (0.25, 0.5, 0.75, 1.0)
 class SearchConfig:
     """Budgets for the max-min search.
 
-    m_states picks the searched class (module docstring), and
-    inner_iters is each restart's climb budget in the 4-state class.
+    m_states picks the searched class and nothing else (module
+    docstring): below (n_settings+1)^2 the 4-state construction, from
+    there on the full local polytope.  inner_iters is each restart's
+    climb budget in the 4-state class.
     The climb's step scale, patience and weight floor are fixed:
     _STEP_SCALE, _PATIENCE and DEFAULT_RHO_MIN.
     """
@@ -469,8 +472,9 @@ def _climb(settings: SettingsEnsemble, config: SearchConfig) -> tuple[float, np.
 
 def _search_class(n: int, config: SearchConfig) -> tuple[int, int]:
     """(climb steps per restart, finish state cap) of the class (N, M) falls in."""
-    if config.m_states >= (n + 1) ** 2:
-        return 1, config.m_states
+    full = (n + 1) ** 2
+    if config.m_states >= full:
+        return 1, full
     return config.inner_iters, _CLIMB_STATES
 
 
@@ -487,18 +491,20 @@ def inner_maximize(
     on its own stream, except where the finish is a fixed point (module
     docstring).  The finish keeps its own model only if that certifies
     too, so every returned model passes validate_model at 1e-9, holds at
-    most m_states states, each with positive weight, and its visibility
-    is the estimate's value, which is never below the climb's.
+    most 4 states in the 4-state class and (n_settings+1)^2 in the full
+    class, each with positive weight, and its visibility is the
+    estimate's value, which is never below the climb's.
 
     Restarts draw from independent streams and are scored together.  A
     restart whose best reaches V = 1 stops, and so does every restart
     with a higher index; the winner is the same as if they climbed on,
     but estimate.iterations_used counts only the steps up to that step.
 
-    Any m_states < (n_settings+1)^2 gives the m_states = 4 result, bit
-    for bit.  From (n_settings+1)^2 on, each restart climbs one step,
-    whatever config.inner_iters says, so iterations_used is about 2 per
-    restart, and the finish does the rest.
+    Any m_states < (n_settings+1)^2 gives the m_states = 4 result, and
+    any m_states >= (n_settings+1)^2 the m_states = (n_settings+1)^2
+    result, bit for bit.  In the full class each restart climbs one
+    step, whatever config.inner_iters says, so iterations_used is about
+    2 per restart, and the finish does the rest.
     """
     if settings.n_settings != config.n_settings:
         raise InvalidInputError(
@@ -508,6 +514,12 @@ def inner_maximize(
     climb_iters, cap = _search_class(settings.n_settings, config)
     _, state, evals = _climb(settings, replace(config, inner_iters=climb_iters))
     model = certify(state_to_model(state, settings), settings)
+    # At a rank-3 Gram a 4-state model's table steps are square: the
+    # fixed side's coordinates and weights form an invertible 4 x 4 R
+    # (zero marginals make its coordinate rows orthogonal to the ones
+    # vector, while rho sums to 1), so each step's only solution is its
+    # own table, which already touches |T| = 1.  The finish is then a
+    # fixed point, and is skipped.
     if not square_table_steps(gram_rank(settings), cap):
         model = seesaw(model, settings, seeded_rng(config.seed, _TAG_FINISH), cap)
     estimate = VisibilityEstimate(
@@ -610,23 +622,18 @@ def sweep_work(n_values: Sequence[int], config: SearchConfig) -> dict:
     budget of every restart of every outer step (one step in the full
     class), times the 4 in 7 moves the climb scores.  "climb table
     entries": those steps times the 4N table entries each one scores.
-    "finish LP rows" and "finish table entries": upper bounds on the
-    equality rows of every see-saw LP and on the random sign-table
-    entries its weight steps are offered, at its round cap and the
-    class's state cap (lvt.seesaw.finish_bounds).  Refuses, as n_sweep
-    does, counts that are not ascending ints >= 1.
+    "finish LP cells": an upper bound on the rows times columns of every
+    see-saw LP, at its round cap and the class's state cap
+    (lvt.seesaw.finish_cells), which depends on N alone.  Refuses, as
+    n_sweep does, counts that are not ascending ints >= 1.
     """
-    work = dict.fromkeys(
-        ("climb steps", "climb table entries", "finish LP rows", "finish table entries"), 0
-    )
+    work = dict.fromkeys(("climb steps", "climb table entries", "finish LP cells"), 0)
     for n in _settings_counts(n_values):
         climb_iters, cap = _search_class(n, config)
         steps = config.outer_iters * config.restarts * (climb_iters + 1) * _SCORED_SHARE
-        rows, entries = finish_bounds(n, cap)
         work["climb steps"] += steps
         work["climb table entries"] += steps * _CLIMB_STATES * n
-        work["finish LP rows"] += config.outer_iters * rows
-        work["finish table entries"] += config.outer_iters * entries
+        work["finish LP cells"] += config.outer_iters * finish_cells(n, cap)
     return work
 
 

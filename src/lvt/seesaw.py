@@ -22,12 +22,13 @@ offers 2M freshly drawn ones next to the current states, M being the
 caller's state cap, and those the LP gives weight replace the dropped
 ones if the new support fits in M states, else the step falls back to
 the current states.  lvt.search caps at 4 in its 4-state class and at
-M >= (N+1)^2 in its full class, where a basic optimum always fits.
+(N+1)^2 in its full class, where a basic optimum always fits.
 The finish first splits each of the model's K states into cap // K
 equal copies: the same model, but one whose table steps can move the
-copies apart.  A 4-state start has square table steps (below), which return
-their starting tables; from one, the full class stalled near the
-climb's start value in 5 of 12 seeded searches at N = 10-12.
+copies apart.  A 4-state start at a rank-3 Gram has square table steps,
+which return their starting tables (lvt.search skips the finish there);
+from one, the full class stalled near the climb's start value in 5 of
+12 seeded searches at N = 10-12.
 The LPs are reduced to the span of the fixed side's columns, so a
 table step has N*(rank+1) equality rows and the rho step at most
 (rank_A+1)*(rank_B+1) <= (min(N, 3M)+1)^2, never N^2.  The Gram enters
@@ -38,19 +39,7 @@ costs O(N*M) besides its solve.  The least-squares corrections of the
 finished model run through the same factors, in O(N*M^2), and its
 final check, validate_model, compares correlations with the Gram a
 block of rows at a time, so the finish never holds an N x N array.
-
-A table step whose reduced system is square (rank+1 = M) is solved in
-closed form instead.  Its rows for setting j read R t_j = V h_j, with R
-the M x M matrix of the fixed side's coordinates and the weights.  R is
-invertible: zero marginals make the fixed side's weighted columns sum
-to zero, so every row of its coordinates is orthogonal to the all-ones
-vector, while rho . 1 = 1.  So t_j = V R^-1 h_j is the only solution,
-the single binding constraint is |T| <= 1, and V = min(1, 1/max|R^-1 H|)
-is the LP's exact optimum, from one linear solve.  At M = 4 with a
-rank-3 Gram (N >= 3 in general position) every table step takes this
-path and returns its starting table, so lvt.search skips the finish
-there (square_table_steps).  HiGHS solves the table steps of larger M
-and every rho step, through lvt.lp.
+HiGHS solves every step, through lvt.lp.
 
 The finish never enumerates deterministic strategies and never calls
 the LP oracle, so comparing it with the oracle compares two
@@ -122,7 +111,10 @@ def gram_rank(settings: SettingsEnsemble) -> int:
 
 
 def square_table_steps(rank: int, m: int) -> bool:
-    """True when every table step is square for a Gram of this rank: rank 3 and M = 4."""
+    """True when a start of M states has square table steps at a Gram of this rank.
+
+    That is rank 3 and M = 4: lvt.search skips the finish there.
+    """
     return rank + 1 >= m
 
 
@@ -141,11 +133,9 @@ def side_lp(
     Maximizes V subject to T diag(rho) other^T = V g, T rho = 0 and
     |T| <= 1, where g = target.u diag(target.p) target.v^T.  The N x N
     correlation rows are reduced to the span of the fixed side's
-    weighted columns, where they read R t_j = V h_j for each setting j.
-    When R is square, t_j = V R^-1 h_j is the only solution, so V is the
-    largest value that keeps |T| <= 1 and no LP is solved; otherwise
-    HiGHS solves the LP.  Returns (T, V), or None when g leaves that
-    span (only V = 0 is feasible), R is singular or HiGHS fails.
+    weighted columns, where they read R t_j = V h_j for each setting j,
+    and HiGHS solves the LP.  Returns (T, V), or None when g leaves that
+    span (only V = 0 is feasible) or HiGHS fails.
     """
     n, m = other.shape
     basis, coords = _span(other * rho)
@@ -159,15 +149,6 @@ def side_lp(
     rhs = np.zeros((n, height))
     rhs[:, :-1] = (target.u * target.p) @ inner
     block = np.vstack([coords, rho[None, :]])
-    if height == m:
-        try:
-            table = np.linalg.solve(block, rhs.T).T
-        except np.linalg.LinAlgError:
-            return None
-        peak = float(np.max(np.abs(table)))
-        if peak <= 1.0:
-            return table, 1.0
-        return table / peak, 1.0 / peak
     # Block-diagonal rows, one (rank+1) x m block per setting, plus the
     # V column; assembled directly in compressed-column form.
     table_rows = (height * np.arange(n))[:, None, None] + np.arange(height)[None, None, :]
@@ -348,28 +329,24 @@ def seesaw(
     return finished
 
 
-def finish_bounds(n: int, m: int) -> tuple[int, int]:
-    """Most LP equality rows one finish solves, and most sign-table
-    entries its weight steps are offered, at N settings and a cap of M.
+def finish_cells(n: int, m: int) -> int:
+    """Most LP cells one finish solves at N settings and a cap of M
+    states: each LP's rows times its columns, summed.
 
-    Both 0 where square_table_steps(min(N, 3), M) holds: lvt.search
-    skips the finish there for settings in general position.  Each of up
-    to _MAX_ROUNDS rounds solves two table steps, the weight LP over the
+    0 where square_table_steps(min(N, 3), M) holds: lvt.search skips the
+    finish there for settings in general position.  Each of up to
+    _MAX_ROUNDS rounds solves two table steps, the weight LP over the
     current and pooled states, and at most one fallback weight LP over
-    the current states.  Every table the finish holds has zero marginals, T rho = 0,
-    so its M columns have rank at most M - 1.  A table step's fixed side
-    spans g, so for settings in general position its rank lies between
-    min(N, 3) and min(N, M - 1); a step that is not square (square
-    tables need no LP) has N * (rank + 1) rows with rank + 1 < M.  A
-    weight LP has (rank_A + 1) * (rank_B + 1) rows, each rank at most N
-    and at most M - 1 plus the fresh columns offered.  The pooled weight
-    LP is offered, on each side, the current M or fewer states and
-    _POOL_FACTOR * M fresh ones, N entries each.
+    the current states.  Every table the finish holds has zero marginals,
+    T rho = 0, so its M or fewer columns have rank at most min(N, M - 1).
+    A table step has N * (rank + 1) rows and N * M + 1 columns.  A weight
+    LP has (rank_A + 1) * (rank_B + 1) rows and a column per offered
+    state plus V; the pooled one is offered the current states and
+    _POOL_FACTOR * M fresh ones.
     """
     if square_table_steps(min(n, 3), m):
-        return 0, 0
-    table = n * min(n + 1, m - 1)
-    pooled = (min(n, m - 1 + _POOL_FACTOR * m) + 1) ** 2
-    current = (min(n, m - 1) + 1) ** 2
-    offered = 2 * n * (1 + _POOL_FACTOR) * m
-    return _MAX_ROUNDS * (2 * table + pooled + current), _MAX_ROUNDS * offered
+        return 0
+    table = n * (min(n, m - 1) + 1) * (n * m + 1)
+    pooled = (min(n, m - 1 + _POOL_FACTOR * m) + 1) ** 2 * ((1 + _POOL_FACTOR) * m + 1)
+    current = (min(n, m - 1) + 1) ** 2 * (m + 1)
+    return _MAX_ROUNDS * (2 * table + pooled + current)

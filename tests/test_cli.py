@@ -161,18 +161,25 @@ GATE_VERDICTS = [
     (["--n", "100,300,1000"], None),
     (["--n", "4,10,30", "--m", "34", "--outer-iters", "2"], None),
     (["--n", "1000", "--inner-iters", "200000"], "climb steps"),
-    (["--n", "4,10,30", "--m", "961"], "finish LP rows"),
+    (["--n", "4,10,30", "--m", "961"], "finish LP cells"),
     (["--n", "2,3,4", "--inner-iters", "100000"], "climb steps"),
-    (["--n", "2", "--outer-iters", "1000", "--inner-iters", "100"], "finish LP rows"),
+    # 1000 finishes of the 4-state class at N = 2, cap 4: 16 s.
+    (["--n", "2", "--outer-iters", "1000", "--inner-iters", "100"], None),
     (["--n", "100,200,300,1000"], None),
     # M >= (N+1)^2 at every N: one climb step per restart, whatever the budget.
     (["--n", "2,3,4", "--m", "34", "--inner-iters", "100000"], None),
-    # The full class's weight steps are offered 3M states a side: a huge M
-    # is refused before any is drawn, and at N = 10 the limit falls
-    # between M = 231 (90 s) and 232.
-    (["--n", "2", "--m", str(10**12)], "finish table entries"),
-    (["--n", "10", "--m", "232"], "finish table entries"),
-    (["--n", "10", "--m", "231"], None),
+    # The full class finishes at (N+1)^2 states whatever M is, so a huge
+    # M costs what M = (N+1)^2 costs, and the limit falls between N = 8
+    # (24 finishes, 22 s) and 9, and at one outer step between N = 16
+    # (61 s) and 17.
+    (["--n", "2", "--m", str(10**12)], None),
+    (["--n", "9", "--m", "100"], "finish LP cells"),
+    (["--n", "8", "--m", "81"], None),
+    (["--n", "9", "--m", str(10**12)], "finish LP cells"),
+    (["--n", "12", "--m", "169"], "finish LP cells"),
+    (["--n", "16", "--m", "289", "--outer-iters", "1"], None),
+    (["--n", "17", "--m", "324", "--outer-iters", "1"], "finish LP cells"),
+    (["--n", "30", "--m", "961", "--outer-iters", "1"], "finish LP cells"),
 ]
 
 
@@ -199,12 +206,10 @@ def test_search_gate_verdicts(capsys, monkeypatch, argv, refused_by):
 def test_m4_sweep_counts_no_finish_rows():
     # In the 4-state class with N >= 3 inner_maximize skips the see-saw
     # finish, at M = 5 as at M = 4; the full class, M >= (N+1)^2, runs it.
-    assert sweep_work([100, 300, 1000], SearchConfig(n_settings=100))["finish LP rows"] == 0
-    assert sweep_work([2, 3], SearchConfig(n_settings=2))["finish LP rows"] > 0
-    assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish LP rows"] == 0
-    assert sweep_work([3], SearchConfig(n_settings=3, m_states=16))["finish LP rows"] > 0
-    assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish table entries"] == 0
-    assert sweep_work([3], SearchConfig(n_settings=3, m_states=16))["finish table entries"] > 0
+    assert sweep_work([100, 300, 1000], SearchConfig(n_settings=100))["finish LP cells"] == 0
+    assert sweep_work([2, 3], SearchConfig(n_settings=2))["finish LP cells"] > 0
+    assert sweep_work([3], SearchConfig(n_settings=3, m_states=5))["finish LP cells"] == 0
+    assert sweep_work([3], SearchConfig(n_settings=3, m_states=16))["finish LP cells"] > 0
 
 
 def test_search_streams_progress_to_stderr(capsys):
@@ -251,6 +256,18 @@ def test_oracle_n9_runs_without_long_flag(capsys):
 def test_oracle_hard_cap_is_resource_error(capsys):
     code, _, err = run_cli(capsys, ["oracle", "--random", str(MAX_ORACLE_SETTINGS + 1)])
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("n", [MAX_ORACLE_SETTINGS + 1, 10**12])
+def test_oracle_refuses_random_settings_before_drawing(capsys, monkeypatch, n):
+    # Drawing 10^12 settings would raise NumPy's memory error instead.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("settings were drawn")
+
+    monkeypatch.setattr("lvt.cli.SettingsEnsemble.random", no_draw)
+    code, _, err = run_cli(capsys, ["oracle", "--random", str(n)])
+    assert code == EXIT_RESOURCE
+    assert f"at most {MAX_ORACLE_SETTINGS} settings" in err
 
 
 def test_oracle_cap_is_checked_before_the_gram(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from lvt import (
     state_to_model,
     validate_model,
 )
-from lvt.search import fit_power_law, perturb_settings
+from lvt.search import fit_power_law, perturb_settings, sweep_work
 from lvt.construct import ValidationReport, _floor_normalized, project_out, unit_rows
 from lvt.core import checked_directions, seeded_rng
 
@@ -201,6 +201,26 @@ def test_full_class_finish_leaves_its_four_state_start():
     model, est = inner_maximize(settings, SearchConfig(n_settings=10, m_states=121, seed=3))
     assert abs(est.value - max_visibility_lp(settings).value) < 1e-3
     assert validate_model(model, settings, 1e-8).passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_full_class_ignores_m_past_n_plus_one_squared(n):
+    # M only picks the class: the finish is capped at (N+1)^2 states
+    # whatever M says, so M = 10^12 costs what M = (N+1)^2 costs.
+    settings = SettingsEnsemble.random(n, np.random.default_rng([167, n]))
+    full = (n + 1) ** 2
+    base = SearchConfig(n_settings=n, m_states=full, inner_iters=300, restarts=2, seed=n)
+    model, est = inner_maximize(settings, base)
+    work = sweep_work([n], base)
+    for m in (full + 1, 2 * (n * n + 1), 10**12):
+        config = replace(base, m_states=m)
+        other, other_est = inner_maximize(settings, config)
+        assert other_est.value == est.value
+        assert other_est.iterations_used == est.iterations_used
+        assert np.array_equal(other.rho, model.rho)
+        assert np.array_equal(other.a_table, model.a_table)
+        assert np.array_equal(other.b_table, model.b_table)
+        assert sweep_work([n], config) == work
 
 
 def test_search_below_n_plus_one_squared_climbs_its_full_budget():
